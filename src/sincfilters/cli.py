@@ -10,26 +10,29 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InsufficientOrderError, NonConvergenceError
-from .filters import KernelSpec, VARIANTS, apply_filter_coeffs, kernel_eval, kernel_integral
-from .oracle import OracleConfig, oracle_iterated_filter, oracle_moving_average
-from .scaled import (
-    ScaledKernelParams,
-    apply_scaled_filter,
-    invariant_points,
-    scaled_coefficient,
-    scaled_kernel_derivative,
-    scaled_kernel_eval,
-    _scaled_series_cutoff,
+from .filters import (
+    VARIANTS,
+    KernelSpec,
+    _cutoff,
+    _Periodised,
+    _series_kernel,
+    apply_filter_coeffs,
+    filter_multiplier,
+    kernel_eval,
+    kernel_integral,
+    sinc,
 )
+from .oracle import OracleConfig, oracle_iterated_filter, oracle_moving_average
+from .scaled import invariant_points, scaled_kernel_derivative
 from .series import (
-    EvalOptions,
     WAVEFORMS,
+    EvalOptions,
+    _write_rows,
     load_coefficients,
     make_waveform,
     render_signal,
@@ -37,7 +40,7 @@ from .series import (
     theta_grid,
 )
 
-__all__ = ["RunConfig", "run", "main", "console_main"]
+__all__ = ["main", "console_main"]
 
 # Figure-style sweeps: exponentially growing N per variant, linear for scaled.
 SWEEP_LISTS = {
@@ -46,24 +49,6 @@ SWEEP_LISTS = {
     "gaussian": [2**i for i in range(11)],
     "scaled": list(range(1, 11)),
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    eps: float = 0.5
-    order: int = 100
-    variant: str = "fixed"
-    kind: str = "square"
-    points: int = 1024
-    k_max: int = 2**20
-    tail_tol: float = 1e-12
-    deriv_order: int = 1
-    out: str | None = None
-    infile: str | None = None
-
-    def options(self) -> EvalOptions:
-        return EvalOptions(k_max=self.k_max, tail_tol=self.tail_tol, quad_resolution=2**14)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,110 +60,85 @@ class _UsageError(Exception):
     pass
 
 
-def _write_rows(path: str, header: tuple[str, str], xs, ys) -> None:
-    lines = [f"{header[0]},{header[1]}"]
-    lines += [f"{x:.17g},{y:.17g}" for x, y in zip(xs, ys)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _options(ns: argparse.Namespace) -> EvalOptions:
+    return EvalOptions(k_max=ns.k_max, tail_tol=ns.tail_tol)
 
 
-def _cmd_kernel(cfg: RunConfig) -> int:
-    spec = KernelSpec(cfg.order, cfg.eps, cfg.variant)
-    grid = theta_grid(cfg.points)
-    values = kernel_eval(spec, grid, cfg.options())
-    _write_rows(cfg.out, ("theta", "value"), grid, values)
+def _cmd_kernel(ns: argparse.Namespace) -> int:
+    variant = "scaled" if ns.command == "scaled-kernel" else ns.variant
+    spec = KernelSpec(ns.order, ns.eps, variant)
+    grid = theta_grid(ns.points)
+    _write_rows(ns.out, ("theta", "value"), grid, kernel_eval(spec, grid, _options(ns)))
     return 0
 
 
-def _cmd_scaled_kernel(cfg: RunConfig) -> int:
-    params = ScaledKernelParams(cfg.eps, cfg.order)
-    grid = theta_grid(cfg.points)
-    values = scaled_kernel_eval(params, grid, cfg.options())
-    _write_rows(cfg.out, ("theta", "value"), grid, values)
+def _cmd_derivative(ns: argparse.Namespace) -> int:
+    spec = KernelSpec(ns.order, ns.eps, "scaled")
+    grid = theta_grid(ns.points)
+    values = scaled_kernel_derivative(spec, ns.deriv_order, grid, _options(ns))
+    _write_rows(ns.out, ("theta", "value"), grid, values)
     return 0
 
 
-def _cmd_derivative(cfg: RunConfig) -> int:
-    params = ScaledKernelParams(cfg.eps, cfg.order)
-    grid = theta_grid(cfg.points)
-    values = scaled_kernel_derivative(params, cfg.deriv_order, grid, cfg.options())
-    _write_rows(cfg.out, ("theta", "value"), grid, values)
+def _cmd_waveform(ns: argparse.Namespace) -> int:
+    if ns.order > 0:
+        spec = KernelSpec(ns.order, ns.eps, "scaled")
+        k_max = _cutoff(spec, 0, ns.tail_tol, ns.k_max) if ns.order >= 3 else ns.k_max
+        coeffs = apply_filter_coeffs(make_waveform(ns.kind, k_max), spec)
+    else:  # order 0 (or below): the unfiltered wave, for any eps
+        coeffs = make_waveform(ns.kind, ns.k_max)
+    signal = render_signal(coeffs, ns.points, _options(ns))
+    _write_rows(ns.out, ("theta", "value"), signal.thetas(), signal.values)
     return 0
 
 
-def _waveform_cutoff(cfg: RunConfig) -> int:
-    if cfg.order >= 3:
-        return _scaled_series_cutoff(cfg.eps, cfg.order, 0, cfg.tail_tol, cfg.k_max)
-    return cfg.k_max
-
-
-def _cmd_waveform(cfg: RunConfig) -> int:
-    coeffs = make_waveform(cfg.kind, _waveform_cutoff(cfg))
-    if cfg.order > 0:
-        coeffs = apply_scaled_filter(coeffs, ScaledKernelParams(cfg.eps, cfg.order))
-    signal = render_signal(coeffs, cfg.points, cfg.options())
-    _write_rows(cfg.out, ("theta", "value"), signal.thetas(), signal.values)
-    return 0
-
-
-def _cmd_filter(cfg: RunConfig) -> int:
-    if not cfg.infile:
+def _cmd_filter(ns: argparse.Namespace) -> int:
+    if not ns.infile:
         raise _UsageError("filter requires --in with a coefficient JSON file")
-    coeffs = load_coefficients(cfg.infile)
-    spec = KernelSpec(cfg.order, cfg.eps, cfg.variant)
-    filtered = apply_filter_coeffs(coeffs, spec)
-    if cfg.out.endswith(".json"):
-        save_coefficients(filtered, cfg.out)
+    coeffs = load_coefficients(ns.infile)
+    filtered = apply_filter_coeffs(coeffs, KernelSpec(ns.order, ns.eps, ns.variant))
+    if ns.out.endswith(".json"):
+        save_coefficients(filtered, ns.out)
     else:
-        _write_rows(
-            cfg.out,
-            ("k", "coefficient"),
-            np.arange(1, len(filtered) + 1),
-            filtered.coeffs,
-        )
+        _write_rows(ns.out, ("k", "coefficient"), np.arange(1, len(filtered) + 1), filtered.coeffs)
     return 0
 
 
-def _cmd_invariants(cfg: RunConfig) -> int:
-    pts = invariant_points(cfg.eps)
-    _write_rows(cfg.out, ("theta", "value"), [p[0] for p in pts], [p[1] for p in pts])
+def _cmd_invariants(ns: argparse.Namespace) -> int:
+    pts = invariant_points(ns.eps)
+    _write_rows(ns.out, ("theta", "value"), [p[0] for p in pts], [p[1] for p in pts])
     return 0
 
 
-def _sweep_values(cfg: RunConfig, n: int, grid: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    if cfg.variant == "scaled":
-        return scaled_kernel_eval(ScaledKernelParams(cfg.eps, n), grid, opts)
+def _sweep_values(
+    ns: argparse.Namespace, n: int, grid: np.ndarray, opts: EvalOptions
+) -> np.ndarray:
     try:
-        return kernel_eval(KernelSpec(n, cfg.eps, cfg.variant), grid, opts)
+        spec = KernelSpec(n, ns.eps, ns.variant)
     except ValueError:
         # Total range beyond the period: no compact support, but the kernel's
-        # series is still the curve the figures show.  Needs n >= 3 to truncate.
-        from .filters import _power_series_cutoff, _series_values, sinc
-
-        stage = cfg.eps if cfg.variant == "naive" else cfg.eps / np.sqrt(n)
-        k_cut = _power_series_cutoff(stage, n, opts.tail_tol, opts.k_max)
-        mult = sinc(np.arange(1, k_cut + 1) * stage) ** n
-        return _series_values(mult, np.abs(grid))
+        # series is still the curve the figures show.
+        return _series_kernel(_Periodised(n, ns.eps, ns.variant), np.abs(grid), opts)
+    return kernel_eval(spec, grid, opts)
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
+def _cmd_sweep(ns: argparse.Namespace) -> int:
+    out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = theta_grid(cfg.points)
-    opts = cfg.options()
-    for n in SWEEP_LISTS[cfg.variant]:
-        values = _sweep_values(cfg, n, grid, opts)
-        _write_rows(out_dir / f"kernel_{cfg.variant}_N{n}.csv", ("theta", "value"), grid, values)
+    grid = theta_grid(ns.points)
+    opts = _options(ns)
+    for n in SWEEP_LISTS[ns.variant]:
+        values = _sweep_values(ns, n, grid, opts)
+        _write_rows(out_dir / f"kernel_{ns.variant}_N{n}.csv", ("theta", "value"), grid, values)
     return 0
 
 
-def _cmd_selfcheck(cfg: RunConfig) -> int:
+def _cmd_selfcheck(ns: argparse.Namespace) -> int:
     checks: list[tuple[str, float, float]] = []  # (name, error, tolerance)
     eps = 0.5
     ocfg = OracleConfig(resolution=2000)
 
     harmonic = oracle_moving_average(lambda t: np.cos(3 * t), 0.7, eps, ocfg)
-    from .filters import sinc
-
     checks.append(("harmonic eigenvalue", abs(harmonic - sinc(3 * eps) * np.cos(2.1)), 1e-9))
 
     depth2 = oracle_iterated_filter(
@@ -192,15 +152,15 @@ def _cmd_selfcheck(cfg: RunConfig) -> int:
              abs(kernel_integral(spec) - 1.0), 1e-10)
         )
 
-    params = ScaledKernelParams(eps, 50)
+    spec = KernelSpec(50, eps, "scaled")
     for theta, expected in invariant_points(eps):
         checks.append(
             (f"invariant point theta={theta:+.3g}",
-             abs(scaled_kernel_eval(params, theta) - expected), 1e-9)
+             abs(kernel_eval(spec, theta) - expected), 1e-9)
         )
 
     k = np.arange(1, 200)
-    stages = scaled_coefficient(k, ScaledKernelParams(eps, 30))
+    stages = filter_multiplier(k, KernelSpec(30, eps, "scaled"))
     direct = np.ones_like(stages)
     for n in range(1, 31):
         direct = direct * sinc(k * eps / 2**n)
@@ -217,7 +177,7 @@ def _cmd_selfcheck(cfg: RunConfig) -> int:
 
 _COMMANDS = {
     "kernel": _cmd_kernel,
-    "scaled-kernel": _cmd_scaled_kernel,
+    "scaled-kernel": _cmd_kernel,
     "derivative": _cmd_derivative,
     "filter": _cmd_filter,
     "waveform": _cmd_waveform,
@@ -225,15 +185,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "selfcheck": _cmd_selfcheck,
 }
-
-
-def run(cfg: RunConfig) -> int:
-    """Dispatch a validated RunConfig; returns the process exit code."""
-    if cfg.command not in _COMMANDS:
-        raise _UsageError(f"unknown command {cfg.command!r}")
-    if cfg.command != "selfcheck" and not cfg.out:
-        raise _UsageError(f"{cfg.command} requires --out")
-    return _COMMANDS[cfg.command](cfg)
 
 
 def _build_parser() -> _Parser:
@@ -274,20 +225,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = RunConfig(
-            command=ns.command,
-            eps=ns.eps,
-            order=ns.order,
-            variant=ns.variant,
-            kind=ns.kind,
-            points=ns.points,
-            k_max=ns.k_max,
-            tail_tol=ns.tail_tol,
-            deriv_order=ns.deriv_order,
-            out=ns.out,
-            infile=ns.infile,
-        )
-        return run(cfg)
+        if ns.command != "selfcheck" and not ns.out:
+            raise _UsageError(f"{ns.command} requires --out")
+        return _COMMANDS[ns.command](ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError
-from .filters import KernelSpec, filter_multiplier, sinc
-from .series import DEFAULT_OPTIONS, EvalOptions
+from .filters import KernelSpec, _cutoff, filter_multiplier, sinc
+from .series import DEFAULT_OPTIONS, EvalOptions, _chunk_sums
 
 __all__ = [
     "InnerAnalytic",
@@ -72,14 +72,8 @@ class DiskPoint:
 
 
 def _taylor_sum(coeffs: np.ndarray, z: np.ndarray, k_max: int) -> np.ndarray:
-    """sum_k a_k z^k for an array of complex points, chunked over k."""
-    n = min(coeffs.size, k_max)
-    out = np.zeros(z.shape, dtype=complex)
-    step = max(1, 2**21 // max(z.size, 1))
-    for lo in range(0, n, step):
-        k = np.arange(lo + 1, min(lo + step, n) + 1)
-        out += np.power.outer(z, k) @ coeffs[lo : lo + k.size]
-    return out
+    """sum_k a_k z^k, k <= k_max, for an array of complex points."""
+    return sum(_chunk_sums(coeffs[:k_max], z, np.power.outer), np.zeros(z.shape, dtype=complex))
 
 
 def eval_inner(w: InnerAnalytic, p: DiskPoint, opts: EvalOptions | None = None) -> complex:
@@ -192,23 +186,11 @@ def complex_kernel_eval(
     # |m_k| <= 1 gives the geometric tail r^(K+1)/(1-r); the multiplier decay
     # bound (independent of r < 1) can be far smaller near the boundary.
     k_need = int(math.ceil(math.log(math.pi * opts.tail_tol * (1.0 - r)) / math.log(r)))
-    try:
-        if spec.variant == "scaled" and spec.order >= 3:
-            from .scaled import _scaled_series_cutoff
-
-            k_need = min(
-                k_need,
-                _scaled_series_cutoff(spec.range_param, spec.order, 0, opts.tail_tol, 2**62),
-            )
-        elif spec.variant != "scaled" and spec.order >= 2:
-            from .filters import _power_series_cutoff, stage_range
-
-            k_need = min(
-                k_need,
-                _power_series_cutoff(stage_range(spec), spec.order, opts.tail_tol, 2**62),
-            )
-    except NonConvergenceError:
-        pass
+    if spec.order >= (3 if spec.variant == "scaled" else 2):
+        try:
+            k_need = min(k_need, _cutoff(spec, 0, opts.tail_tol, 2**62))
+        except NonConvergenceError:
+            pass
     if k_need > opts.k_max:
         raise NonConvergenceError(
             f"complex kernel needs {k_need} terms at radius ratio {r}; k_max={opts.k_max}"

@@ -11,8 +11,16 @@ variants differ in how the per-stage range scales with N:
     gaussian  stage eps/sqrt(N),    total range sqrt(N)*eps
     scaled    stages eps/2, eps/4,  total range eps*(1 - 2^-N)
 
-The kernel of every variant is  1/(2*pi) + (1/pi) * sum_k m_k cos(k dtheta)
-with m_k the per-variant multiplier.
+A variant is only its data: the half-widths a_1..a_N of its stages, the
+multiplier m_k = prod_n sinc(k a_n) on the k-th harmonic, and a rigorous
+tail rule (_cutoff).  The kernel of every variant is
+
+    1/(2*pi) + (1/pi) * sum_k m_k cos(k dtheta),
+
+in closed form for N = 1 (a box) and N = 2 (two boxes convolved).  For
+scaled, m_k is the running product over the stages, never the algebraically
+equal 2^(N(N+1)/2)/(k eps)^N prefactor form, which overflows already for
+moderate N.
 """
 
 from __future__ import annotations
@@ -23,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterRangeError, NonConvergenceError
-from .series import DEFAULT_OPTIONS, EvalOptions, HarmonicCoefficients, SampledSignal
+from .series import (
+    DEFAULT_OPTIONS,
+    EvalOptions,
+    HarmonicCoefficients,
+    SampledSignal,
+    _chunk_sums,
+    _cos_terms,
+)
 
 __all__ = [
     "VARIANTS",
@@ -42,10 +57,17 @@ VARIANTS = ("naive", "fixed", "gaussian", "scaled")
 
 _SINC_TAYLOR_CUT = 1e-4
 
+# Factors with argument below this are 1 to within 1e-17 and are skipped.
+_NEGLIGIBLE_ARG = 1e-8
+
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Order N, range parameter eps (radians), and range-scaling variant."""
+    """Order N, range parameter eps (radians), and range-scaling variant.
+
+    The total range must fit in the period (naive N*eps <= pi, gaussian
+    sqrt(N)*eps <= pi), and scaled needs eps < pi.
+    """
 
     order: int
     range_param: float
@@ -60,16 +82,29 @@ class KernelSpec:
         eps = float(self.range_param)
         if not (0.0 < eps <= np.pi):
             raise ValueError("range_param must lie in (0, pi]")
-        if self.variant == "naive" and self.order >= 1 and eps > np.pi / self.order:
-            raise ValueError(
-                f"naive variant requires eps <= pi/N (total range N*eps <= pi); "
-                f"eps={eps} N={self.order}"
-            )
-        if self.variant == "gaussian" and math.sqrt(max(self.order, 1)) * eps > np.pi:
-            raise ValueError(
-                f"gaussian variant requires sqrt(N)*eps <= pi; eps={eps} N={self.order}"
-            )
+        if self.variant == "scaled" and eps == np.pi:
+            raise ValueError("scaled variant requires eps strictly inside (0, pi)")
         object.__setattr__(self, "range_param", eps)
+        self._check_total_range()
+
+    def _check_total_range(self) -> None:
+        eps, n = self.range_param, self.order
+        if self.variant == "naive" and n >= 1 and eps > np.pi / n:
+            raise ValueError(
+                f"naive variant requires eps <= pi/N (total range N*eps <= pi); eps={eps} N={n}"
+            )
+        if self.variant == "gaussian" and math.sqrt(max(n, 1)) * eps > np.pi:
+            raise ValueError(f"gaussian variant requires sqrt(N)*eps <= pi; eps={eps} N={n}")
+
+
+class _Periodised(KernelSpec):
+    """A spec whose total range may exceed pi: its kernel is the series wrapped on the period.
+
+    It has no compact support, so only the series path (_series_kernel) applies.
+    """
+
+    def _check_total_range(self) -> None:
+        pass
 
 
 def sinc(x):
@@ -98,6 +133,13 @@ def stage_range(spec: KernelSpec) -> float:
     return spec.range_param / 2.0
 
 
+def _stages(spec: KernelSpec) -> list[float]:
+    """Half-widths a_1..a_N of the first-order passes composing the filter."""
+    if spec.variant == "scaled":
+        return [spec.range_param / 2.0**n for n in range(1, spec.order + 1)]
+    return [stage_range(spec)] * spec.order
+
+
 def total_range(spec: KernelSpec) -> float:
     """Half-width of the kernel's support."""
     if spec.order == 0:
@@ -115,17 +157,19 @@ def filter_multiplier(k, spec: KernelSpec):
     """Eigenvalue of the order-N filter on the k-th harmonic.
 
     naive: sinc(k eps)^N; fixed: sinc(k eps/N)^N; gaussian: sinc(k eps/sqrt N)^N;
-    scaled: prod_{n=1..N} sinc(k eps / 2^n).  N = 0 is the identity (1).
+    scaled: prod_{n=1..N} sinc(k eps / 2^n) as a running product, stopping at the
+    first stage whose factors are all 1 to within 1e-17.  N = 0 is the identity (1).
     """
     karr = np.asarray(k, dtype=float)
     if np.any(karr < 1):
         raise ValueError("harmonic index k must be >= 1")
-    if spec.order == 0:
+    if spec.variant == "scaled":
         out = np.ones_like(karr)
-    elif spec.variant == "scaled":
-        from .scaled import ScaledKernelParams, scaled_coefficient
-
-        out = scaled_coefficient(karr, ScaledKernelParams(spec.range_param, spec.order))
+        top = float(np.max(karr)) if karr.size else 0.0
+        for a in _stages(spec):
+            if top * a < _NEGLIGIBLE_ARG:
+                break
+            out = out * sinc(karr * a)
     else:
         out = sinc(karr * stage_range(spec)) ** spec.order
     return float(out) if karr.ndim == 0 else out
@@ -214,60 +258,96 @@ def _two_box_kernel(d: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.clip(overlap, 0.0, None) / (4.0 * a * b)
 
 
-def _power_series_cutoff(stage: float, order: int, tol: float, k_max: int) -> int:
-    """Smallest K with the integral-comparison tail bound below tol.
+def _block_tail_cutoff(eps: float, steps: int, deriv: int, tol: float) -> float:
+    """Scaled tail cutoff from dyadic blocks of the coefficient envelope.
 
-    Uses |m_k| <= (k*stage)^-N, valid once k*stage >= 1, so
-    sum_{k>K} |m_k| <= stage^-N K^(1-N) / (N-1).
+    In block n (2^n <= k*eps < 2^(n+1)) at most min(n, N) sinc factors are in
+    their decaying regime, so |m_k| <= 2^(m(m+1)/2 - n*m) with m = min(n, N).
+    Returns the smallest K = 2^n0/eps whose block-sum bound (with a k^deriv
+    weight) is below tol, or inf.
     """
-    if order < 2:
-        raise ValueError("series cutoff rule requires order >= 2")
-    log_k = (-math.log(math.pi * tol * (order - 1)) - order * math.log(stage)) / (order - 1)
-    k_need = max(int(math.ceil(math.exp(min(log_k, 700.0)))), int(math.ceil(1.0 / stage)) + 1)
+    n_hi = min(steps, 60) + 80
+    n = np.arange(n_hi + 1)
+    m = np.minimum(n, steps)
+    log2_block = (
+        -math.log2(math.pi)
+        + np.log2(2.0**n / eps + 1.0)
+        + deriv * (n + 1 - math.log2(eps))
+        + (m * (m + 1) / 2.0 - n * m)
+    )
+    block = np.exp2(np.clip(log2_block, -1074, 1023))
+    suffix = np.cumsum(block[::-1])[::-1]
+    ok = np.nonzero(suffix <= tol)[0]
+    if ok.size == 0:
+        return math.inf
+    return math.ceil(2.0 ** ok[0] / eps)
+
+
+def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int) -> int:
+    """Smallest K with the rigorous tail bound (1/pi) sum_{k>K} |m_k| k^deriv <= tol.
+
+    Both rules use |m_k| <= prod_n 1/(k a_n), valid once k >= 1/min(a_n), whose
+    weighted tail is at most K^(deriv+1-N) / ((N-1-deriv) prod_n a_n):
+    equal stages s apply it from K = ceil(1/s) + 1; scaled applies it from
+    K = 2^N/eps and also tries the dyadic block rule, keeping the smaller K.
+    Raises NonConvergenceError when neither reaches tol within k_max.
+    """
+    n, eps = spec.order, spec.range_param
+    decay = n - 1 - deriv
+    k_need = math.inf
+    if spec.variant == "scaled":
+        k_need = _block_tail_cutoff(eps, n, deriv, tol)
+        if decay >= 1:
+            log2_k = n * (n + 1) / 2.0 - n * math.log2(eps) - math.log2(math.pi * tol * decay)
+            log2_k = max(log2_k / decay, n - math.log2(eps))
+            if log2_k <= 62:
+                k_need = min(k_need, math.ceil(2.0**log2_k))
+    elif decay >= 1:
+        s = stage_range(spec)
+        log_k = (-math.log(math.pi * tol * decay) - n * math.log(s)) / decay
+        k_need = max(math.ceil(math.exp(min(log_k, 700.0))), math.ceil(1.0 / s) + 1)
     if k_need > k_max:
         raise NonConvergenceError(
-            f"kernel series needs {k_need} harmonics to reach tail_tol; k_max={k_max}. "
+            f"{spec.variant} kernel series (N={n}, derivative order {deriv}) needs "
+            f"{k_need} harmonics to reach tail_tol={tol}; k_max={k_max}. "
             f"Loosen tail_tol or raise k_max."
         )
-    return k_need
+    return int(k_need)
 
 
 def _series_values(multipliers: np.ndarray, d: np.ndarray) -> np.ndarray:
-    k = np.arange(1, multipliers.size + 1, dtype=float)
-    out = np.full(d.shape, 1.0 / (2.0 * np.pi))
-    step = max(1, 2**22 // max(d.size, 1))
-    for lo in range(0, multipliers.size, step):
-        kk = k[lo : lo + step]
-        out += (np.cos(np.multiply.outer(d, kk)) @ multipliers[lo : lo + step]) / np.pi
-    return out
+    """1/(2*pi) + (1/pi) * sum_k multipliers[k-1] cos(k d), summed directly."""
+    chunks = (s / np.pi for s in _chunk_sums(multipliers, d, _cos_terms))
+    return sum(chunks, np.full(d.shape, 1.0 / (2.0 * np.pi)))
+
+
+def _series_kernel(spec: KernelSpec, d: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    """The kernel's Fourier series at folded separations d, cut by the tail rule."""
+    k_cut = _cutoff(spec, 0, opts.tail_tol, opts.k_max)
+    return _series_values(filter_multiplier(np.arange(1, k_cut + 1), spec), d)
 
 
 def kernel_eval(spec: KernelSpec, dtheta, opts: EvalOptions | None = None):
     """Kernel value at separation dtheta (scalar or array).
 
-    N = 1 and N = 2 use the exact closed forms (box; two-box convolution);
-    N >= 3 sums the Fourier series, truncated where the rigorous tail bound
-    drops below opts.tail_tol.  Order 0 is the identity's singular kernel and
-    is not evaluable pointwise.
+    N = 1 and N = 2 use the exact closed forms (box of the first stage;
+    convolution of the first two stages' boxes); N >= 3 sums the Fourier
+    series, truncated where the rigorous tail bound drops below
+    opts.tail_tol.  Order 0 is the identity's singular kernel and is not
+    evaluable pointwise.
     """
     opts = opts or DEFAULT_OPTIONS
     if spec.order < 1:
         raise ValueError("kernel_eval requires order >= 1 (order 0 is the delta kernel)")
-    if spec.variant == "scaled":
-        from .scaled import ScaledKernelParams, scaled_kernel_eval
-
-        return scaled_kernel_eval(ScaledKernelParams(spec.range_param, spec.order), dtheta, opts)
     d = _fold(dtheta)
     scalar = d.ndim == 0
     d = np.atleast_1d(d)
-    s = stage_range(spec)
     if spec.order == 1:
-        out = _box_kernel(d, s)
+        out = _box_kernel(d, *_stages(spec))
     elif spec.order == 2:
-        out = _two_box_kernel(d, s, s)
+        out = _two_box_kernel(d, *_stages(spec))
     else:
-        k_cut = _power_series_cutoff(s, spec.order, opts.tail_tol, opts.k_max)
-        out = _series_values(filter_multiplier(np.arange(1, k_cut + 1), spec), d)
+        out = _series_kernel(spec, d, opts)
     return float(out[0]) if scalar else out
 
 

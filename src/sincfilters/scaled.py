@@ -2,26 +2,27 @@
 
 The scaled filter composes first-order passes with ranges eps/2, eps/4, ...,
 eps/2^N, so the stages' supports never overlap at a point and the pointwise
-limit N -> infinity is a compactly supported C-infinity bump.  The k-th
-coefficient is the running product
-
-    m_k = prod_{n=1..N} sinc(k eps / 2^n),
-
-never the algebraically equal 2^(N(N+1)/2)/(k eps)^N prefactor form, which
-overflows catastrophically already for moderate N.  "Infinite order" is
-operationalized as N = 100 by default throughout the CLI and tests.
+limit N -> infinity is a compactly supported C-infinity bump.  The kernel
+itself is KernelSpec(N, eps, "scaled") of the filters module; this module
+keeps the construction's derivative and special points, plus the scaled-
+kernel names of the general functions.  "Infinite order" is operationalized
+as N = 100 by default throughout the CLI and tests.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InsufficientOrderError, NonConvergenceError
-from .filters import _fold, _series_values, _two_box_kernel, _box_kernel, sinc
-from .series import DEFAULT_OPTIONS, EvalOptions, HarmonicCoefficients
+from .errors import InsufficientOrderError
+from .filters import (
+    KernelSpec,
+    _cutoff,
+    apply_filter_coeffs,
+    filter_multiplier,
+    kernel_eval,
+    total_range,
+)
+from .series import DEFAULT_OPTIONS, EvalOptions, _chunk_sums, _cos_terms, _sin_terms
 
 __all__ = [
     "ScaledKernelParams",
@@ -34,172 +35,45 @@ __all__ = [
     "zero_derivative_points",
 ]
 
-# Factors with argument below this are 1 to within 1e-17 and are skipped.
-_NEGLIGIBLE_ARG = 1e-8
+scaled_coefficient = filter_multiplier
+effective_range = total_range
+scaled_kernel_eval = kernel_eval
+apply_scaled_filter = apply_filter_coeffs
 
 
-@dataclass(frozen=True)
-class ScaledKernelParams:
-    """Final range eps in (0, pi) and number of construction steps N >= 0."""
-
-    eps: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        eps = float(self.eps)
-        if not (0.0 < eps < np.pi):
-            raise ValueError("eps must lie strictly inside (0, pi)")
-        if int(self.steps) != self.steps or self.steps < 0:
-            raise ValueError("steps must be a non-negative integer")
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "steps", int(self.steps))
-
-
-def scaled_coefficient(k, params: ScaledKernelParams):
-    """prod_{n=1..N} sinc(k eps / 2^n); the empty product (N=0) is 1."""
-    karr = np.asarray(k, dtype=float)
-    if np.any(karr < 1):
-        raise ValueError("harmonic index k must be >= 1")
-    out = np.ones_like(karr)
-    top = float(np.max(karr)) if karr.size else 0.0
-    for n in range(1, params.steps + 1):
-        scale = params.eps / 2.0**n
-        if top * scale < _NEGLIGIBLE_ARG:
-            break
-        out = out * sinc(karr * scale)
-    return float(out) if karr.ndim == 0 else out
-
-
-def effective_range(params: ScaledKernelParams) -> float:
-    """Combined range eps/2 + ... + eps/2^N = eps * (1 - 2^-N)."""
-    return params.eps * (1.0 - 0.5**params.steps)
-
-
-def _block_tail_cutoff(eps: float, steps: int, deriv: int, tol: float) -> float:
-    """Tail cutoff from dyadic blocks of the coefficient envelope.
-
-    In block n (2^n <= k*eps < 2^(n+1)) at most min(n, N) sinc factors are in
-    their decaying regime, so |m_k| <= 2^(m(m+1)/2 - n*m) with m = min(n, N).
-    Returns the smallest K = 2^n0/eps whose block-sum bound (with a k^deriv
-    weight) is below tol, or inf.
-    """
-    n_hi = min(steps, 60) + 80
-    n = np.arange(n_hi + 1)
-    m = np.minimum(n, steps)
-    log2_block = (
-        -math.log2(math.pi)
-        + np.log2(2.0**n / eps + 1.0)
-        + deriv * (n + 1 - math.log2(eps))
-        + (m * (m + 1) / 2.0 - n * m)
-    )
-    block = np.exp2(np.clip(log2_block, -1074, 1023))
-    suffix = np.cumsum(block[::-1])[::-1]
-    ok = np.nonzero(suffix <= tol)[0]
-    if ok.size == 0:
-        return math.inf
-    return math.ceil(2.0 ** ok[0] / eps)
-
-
-def _power_tail_cutoff(eps: float, steps: int, deriv: int, tol: float) -> float:
-    """Tail cutoff from the all-factors bound 2^(N(N+1)/2)/(k eps)^N.
-
-    Valid once k*eps >= 2^N; effective for small N where that regime is
-    reachable.  Returns inf when the rule does not apply.
-    """
-    decay = steps - 1 - deriv
-    if decay < 1:
-        return math.inf
-    log2_k = (
-        steps * (steps + 1) / 2.0
-        - steps * math.log2(eps)
-        - math.log2(math.pi * tol * decay)
-    ) / decay
-    log2_k = max(log2_k, steps - math.log2(eps))
-    if log2_k > 62:
-        return math.inf
-    return math.ceil(2.0**log2_k)
-
-
-def _scaled_series_cutoff(
-    eps: float, steps: int, deriv: int, tol: float, k_max: int
-) -> int:
-    k_need = min(
-        _block_tail_cutoff(eps, steps, deriv, tol),
-        _power_tail_cutoff(eps, steps, deriv, tol),
-    )
-    if not math.isfinite(k_need) or k_need > k_max:
-        raise NonConvergenceError(
-            f"scaled kernel series (N={steps}, derivative order {deriv}) needs "
-            f"{k_need:.3g} harmonics to reach tail_tol={tol}; k_max={k_max}. "
-            f"Loosen tail_tol or raise k_max."
-        )
-    return int(k_need)
-
-
-def scaled_kernel_eval(params: ScaledKernelParams, dtheta, opts: EvalOptions | None = None):
-    """Order-N scaled kernel at separation dtheta (scalar or array).
-
-    N = 1 is the box of range eps/2 and N = 2 the exact two-box convolution;
-    N >= 3 sums the Fourier series truncated by the rigorous tail rule.
-    """
-    opts = opts or DEFAULT_OPTIONS
-    if params.steps < 1:
-        raise ValueError("scaled_kernel_eval requires steps >= 1")
-    d = _fold(dtheta)
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
-    if params.steps == 1:
-        out = _box_kernel(d, params.eps / 2.0)
-    elif params.steps == 2:
-        out = _two_box_kernel(d, params.eps / 2.0, params.eps / 4.0)
-    else:
-        k_cut = _scaled_series_cutoff(params.eps, params.steps, 0, opts.tail_tol, opts.k_max)
-        mult = scaled_coefficient(np.arange(1, k_cut + 1), params)
-        out = _series_values(mult, d)
-    return float(out[0]) if scalar else out
-
-
-def apply_scaled_filter(
-    coeffs: HarmonicCoefficients, params: ScaledKernelParams
-) -> HarmonicCoefficients:
-    """a_k -> scaled_coefficient(k) * a_k, parity preserved."""
-    if len(coeffs) == 0:
-        return coeffs
-    k = np.arange(1, len(coeffs) + 1)
-    return HarmonicCoefficients(coeffs.parity, coeffs.coeffs * scaled_coefficient(k, params))
+def ScaledKernelParams(eps: float, steps: int) -> KernelSpec:  # noqa: N802 (public name in use)
+    """The scaled kernel with final range eps in (0, pi) after steps >= 0 stages."""
+    return KernelSpec(steps, eps, "scaled")
 
 
 def scaled_kernel_derivative(
-    params: ScaledKernelParams, order: int, dtheta, opts: EvalOptions | None = None
+    params: KernelSpec, order: int, dtheta, opts: EvalOptions | None = None
 ):
-    """Term-wise n-th derivative of the scaled kernel's Fourier series.
+    """Term-wise n-th derivative of the Fourier series of the kernel params.
 
     Requires steps >= order + 2 so the differentiated series is absolutely
-    convergent.  Satisfies the half-scale identity
+    convergent.  For the scaled kernel it satisfies the half-scale identity
     d/dtheta K(eps, N) = (1/eps) [K(eps/2, N-1)(theta + eps/2)
                                   - K(eps/2, N-1)(theta - eps/2)].
     """
     opts = opts or DEFAULT_OPTIONS
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    if params.steps < order + 2:
+    if params.order < order + 2:
         raise InsufficientOrderError(
-            f"derivative of order {order} needs steps >= {order + 2}, got {params.steps}"
+            f"derivative of order {order} needs steps >= {order + 2}, got {params.order}"
         )
     th = np.asarray(dtheta, dtype=float)
     scalar = th.ndim == 0
     th = np.atleast_1d(th)
-    k_cut = _scaled_series_cutoff(params.eps, params.steps, order, opts.tail_tol, opts.k_max)
+    k_cut = _cutoff(params, order, opts.tail_tol, opts.k_max)
     k = np.arange(1, k_cut + 1, dtype=float)
-    weights = scaled_coefficient(k, params) * k**order / np.pi
+    weights = filter_multiplier(k, params) * k**order / np.pi
     # d^n cos(k theta) cycles through -sin, -cos, +sin, +cos (times k^n)
-    trig = (np.cos, np.sin, np.cos, np.sin)[order % 4]
+    terms = (_cos_terms, _sin_terms)[order % 2]
     sign = (1.0, -1.0, -1.0, 1.0)[order % 4]
-    out = np.zeros(th.shape)
-    step = max(1, 2**22 // max(th.size, 1))
-    for lo in range(0, k_cut, step):
-        kk = k[lo : lo + step]
-        out += sign * (trig(np.multiply.outer(th, kk)) @ weights[lo : lo + step])
+    chunks = (sign * s for s in _chunk_sums(weights, th, terms))
+    out = sum(chunks, np.zeros(th.shape))
     return float(out[0]) if scalar else out
 
 

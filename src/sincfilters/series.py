@@ -11,7 +11,7 @@ points (the standard waveforms' singular points sit on the grid).
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -37,8 +37,11 @@ PARITIES = ("cosine", "sine")
 
 WAVEFORMS = ("square", "sawtooth", "triangle")
 
-# Keep temporary trig matrices below ~32 MB when summing long series.
-_CHUNK_ELEMENTS = 2**22
+# Keep the temporary term matrices of a direct summation below 32 MB.
+_CHUNK_BYTES = 2**25
+
+# load_signal accepts a theta within this fraction of the grid step of theta_j.
+_THETA_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -123,22 +126,30 @@ def theta_grid(resolution: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
 
 
-def _trig(parity: str, x: np.ndarray) -> np.ndarray:
-    return np.cos(x) if parity == "cosine" else np.sin(x)
+def _cos_terms(theta: np.ndarray, k: np.ndarray) -> np.ndarray:
+    return np.cos(np.multiply.outer(theta, k))
+
+
+def _sin_terms(theta: np.ndarray, k: np.ndarray) -> np.ndarray:
+    return np.sin(np.multiply.outer(theta, k))
+
+
+def _chunk_sums(weights: np.ndarray, points: np.ndarray, terms):
+    """Yield sum_k weights[k-1] * terms(points, k) over successive blocks of k = 1, 2, ...
+
+    terms(points, k) returns the points-by-k matrix of term values, such as
+    cos(k theta) or z^k; blocks keep that matrix below _CHUNK_BYTES for any K.
+    """
+    step = max(1, _CHUNK_BYTES // (points.itemsize * max(points.size, 1)))
+    for lo in range(0, weights.size, step):
+        k = np.arange(lo + 1, min(lo + step, weights.size) + 1, dtype=float)
+        yield terms(points, k) @ weights[lo : lo + k.size]
 
 
 def _eval_many(coeffs: HarmonicCoefficients, thetas: np.ndarray, k_max: int) -> np.ndarray:
-    """Partial sums at many angles, chunked over harmonics to bound memory."""
-    n = min(len(coeffs), k_max)
-    out = np.zeros(thetas.shape, dtype=float)
-    if n == 0:
-        return out
-    a = coeffs.coeffs[:n]
-    step = max(1, _CHUNK_ELEMENTS // max(thetas.size, 1))
-    for lo in range(0, n, step):
-        k = np.arange(lo + 1, min(lo + step, n) + 1, dtype=float)
-        out += _trig(coeffs.parity, np.multiply.outer(thetas, k)) @ a[lo : lo + k.size]
-    return out
+    """Partial sums at many angles, truncated at k_max."""
+    terms = _cos_terms if coeffs.parity == "cosine" else _sin_terms
+    return sum(_chunk_sums(coeffs.coeffs[:k_max], thetas, terms), np.zeros(thetas.shape))
 
 
 def eval_series(coeffs: HarmonicCoefficients, theta: float, opts: EvalOptions | None = None):
@@ -197,20 +208,37 @@ def load_coefficients(path) -> HarmonicCoefficients:
     return HarmonicCoefficients(obj["parity"], np.asarray(obj["coeffs"], dtype=float))
 
 
+def _write_rows(path, header: tuple[str, str], xs, ys) -> None:
+    """Two-column CSV with LF line ends and values at 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{header[0]},{header[1]}\n")
+        fh.writelines(f"{x:.17g},{y:.17g}\n" for x, y in zip(xs, ys))
+
+
 def save_signal(signal: SampledSignal, path) -> None:
-    """Write CSV with header theta,value at 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "value"])
-        for t, v in zip(signal.thetas(), signal.values):
-            writer.writerow([f"{t:.17g}", f"{v:.17g}"])
+    """Write CSV with header theta,value at 17 significant digits and LF line ends."""
+    _write_rows(path, ("theta", "value"), signal.thetas(), signal.values)
 
 
 def load_signal(path) -> SampledSignal:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["theta", "value"]:
+    """Read a theta,value CSV (LF or CRLF line ends) on the grid theta_j = -pi + 2*pi*j/M.
+
+    Raises ValueError for a wrong header, no rows, a row without exactly two
+    cells, a value that is not a finite number, or a theta farther than
+    _THETA_SLACK grid steps from its theta_j.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != "theta,value":
             raise ValueError("expected a theta,value CSV header")
-        values = [float(row[1]) for row in reader]
-    return SampledSignal(np.asarray(values))
+        rows = (row for row in fh if row.strip())
+        first = next(rows, None)
+        if first is None:  # before np.loadtxt, which would warn on empty input
+            raise ValueError("expected at least one theta,value row")
+        data = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError("expected theta,value rows of exactly two cells")
+    signal = SampledSignal(data[:, 1])
+    slack = _THETA_SLACK * 2.0 * np.pi / signal.resolution
+    if not np.all(np.abs(data[:, 0] - signal.thetas()) <= slack):
+        raise ValueError(f"thetas are off the grid theta_j = -pi + 2*pi*j/{signal.resolution}")
+    return signal

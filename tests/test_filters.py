@@ -90,6 +90,8 @@ def test_kernel_spec_validation():
         KernelSpec(-1, 0.5)
     with pytest.raises(ValueError):
         KernelSpec(1, 0.5, "boxcar")
+    with pytest.raises(ValueError):
+        KernelSpec(3, np.pi, "scaled")  # the scaled construction needs eps < pi
 
 
 def test_apply_filter_identity_and_zero():
@@ -287,6 +289,27 @@ def test_kernel_integral_examples():
     assert kernel_integral(KernelSpec(1, 0.5, "naive")) == pytest.approx(1.0, abs=1e-8)
     assert kernel_integral(KernelSpec(4, 0.5, "fixed")) == pytest.approx(1.0, abs=1e-10)
     assert kernel_integral(KernelSpec(2, np.pi, "fixed")) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_tail_rule_bounds_the_computed_tail():
+    # (1/pi) sum_{K<k<=4K} |m_k| k^d stays below tol at the K the rule picks
+    from sincfilters.filters import _cutoff
+
+    cases = [
+        ("naive", 3, 0.5, 0, 1e-4), ("naive", 4, 0.6, 0, 1e-6),
+        ("fixed", 3, 0.5, 0, 1e-5), ("fixed", 4, 0.5, 0, 1e-6), ("fixed", 16, 0.5, 0, 1e-9),
+        ("gaussian", 6, 0.5, 0, 1e-7), ("gaussian", 16, 0.7, 0, 1e-9),
+        ("scaled", 3, 0.5, 0, 1e-4), ("scaled", 4, 0.5, 0, 1e-6), ("scaled", 10, 0.5, 0, 1e-9),
+        ("scaled", 100, 0.5, 0, 1e-12), ("scaled", 4, 0.5, 1, 1e-3), ("scaled", 8, 0.5, 1, 1e-6),
+        ("scaled", 100, 0.5, 1, 1e-9), ("scaled", 5, 0.5, 2, 1e-3), ("scaled", 10, 0.5, 2, 1e-6),
+        ("scaled", 100, 0.5, 2, 1e-9),
+    ]
+    for variant, order, eps, deriv, tol in cases:
+        spec = KernelSpec(order, eps, variant)
+        k_cut = _cutoff(spec, deriv, tol, 2**16)
+        k = np.arange(k_cut + 1, 4 * k_cut + 1, dtype=float)
+        tail = np.sum(np.abs(filter_multiplier(k, spec)) * k**deriv) / np.pi
+        assert tail <= tol, (variant, order, deriv, k_cut, tail / tol)
 
 
 def test_kernel_nonconvergence_at_default_tolerance():

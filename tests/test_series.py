@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def test_signal_wrapping_lookup():
     assert sig.value_at(-1) == 3.0
 
 
-def test_invalid_inputs_rejected():
+def test_invalid_inputs_rejected(tmp_path):
     with pytest.raises(ValueError):
         HarmonicCoefficients("cos", [1.0])
     with pytest.raises(ValueError):
@@ -146,6 +147,20 @@ def test_invalid_inputs_rejected():
         eval_series(HarmonicCoefficients("cosine", [1.0]), np.inf)
     with pytest.raises(ValueError):
         render_signal(HarmonicCoefficients("cosine", [1.0]), 1)
+    one_cell = tmp_path / "one_cell.csv"
+    one_cell.write_text("theta,value\n-3.141592653589793,1.0\n0.0\n")
+    with pytest.raises(ValueError):
+        load_signal(one_cell)
+    off_grid = tmp_path / "off_grid.csv"
+    off_grid.write_text("theta,value\n9,1.0\n7,2.0\n")  # the M=2 grid is -pi, 0
+    with pytest.raises(ValueError):
+        load_signal(off_grid)
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("theta,value\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected without a warning first
+        with pytest.raises(ValueError):
+            load_signal(header_only)
 
 
 def test_coefficient_json_roundtrip(tmp_path):
@@ -164,6 +179,7 @@ def test_signal_csv_roundtrip(tmp_path):
     path = tmp_path / "signal.csv"
     save_signal(sig, path)
     assert path.read_text().splitlines()[0] == "theta,value"
+    assert b"\r" not in path.read_bytes()  # LF line ends
     back = load_signal(path)
     np.testing.assert_array_equal(back.values, sig.values)
 

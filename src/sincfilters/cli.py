@@ -20,15 +20,15 @@ from .filters import (
     KernelSpec,
     _cutoff,
     _Periodised,
-    _series_kernel,
     apply_filter_coeffs,
     filter_multiplier,
     kernel_eval,
+    kernel_grid,
     kernel_integral,
     sinc,
 )
 from .oracle import OracleConfig, oracle_iterated_filter, oracle_moving_average
-from .scaled import invariant_points, scaled_kernel_derivative
+from .scaled import invariant_points
 from .series import (
     WAVEFORMS,
     EvalOptions,
@@ -66,17 +66,17 @@ def _options(ns: argparse.Namespace) -> EvalOptions:
 
 def _cmd_kernel(ns: argparse.Namespace) -> int:
     variant = "scaled" if ns.command == "scaled-kernel" else ns.variant
-    spec = KernelSpec(ns.order, ns.eps, variant)
-    grid = theta_grid(ns.points)
-    _write_rows(ns.out, ("theta", "value"), grid, kernel_eval(spec, grid, _options(ns)))
+    values = kernel_grid(KernelSpec(ns.order, ns.eps, variant), ns.points, _options(ns))
+    _write_rows(ns.out, ("theta", "value"), theta_grid(ns.points), values)
     return 0
 
 
 def _cmd_derivative(ns: argparse.Namespace) -> int:
+    if ns.deriv_order < 1:
+        raise ValueError("derivative order must be >= 1")
     spec = KernelSpec(ns.order, ns.eps, "scaled")
-    grid = theta_grid(ns.points)
-    values = scaled_kernel_derivative(spec, ns.deriv_order, grid, _options(ns))
-    _write_rows(ns.out, ("theta", "value"), grid, values)
+    values = kernel_grid(spec, ns.points, _options(ns), ns.deriv_order)
+    _write_rows(ns.out, ("theta", "value"), theta_grid(ns.points), values)
     return 0
 
 
@@ -110,16 +110,13 @@ def _cmd_invariants(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_values(
-    ns: argparse.Namespace, n: int, grid: np.ndarray, opts: EvalOptions
-) -> np.ndarray:
+def _sweep_spec(ns: argparse.Namespace, n: int) -> KernelSpec:
     try:
-        spec = KernelSpec(n, ns.eps, ns.variant)
+        return KernelSpec(n, ns.eps, ns.variant)
     except ValueError:
         # Total range beyond the period: no compact support, but the kernel's
         # series is still the curve the figures show.
-        return _series_kernel(_Periodised(n, ns.eps, ns.variant), np.abs(grid), opts)
-    return kernel_eval(spec, grid, opts)
+        return _Periodised(n, ns.eps, ns.variant)
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
@@ -128,7 +125,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     grid = theta_grid(ns.points)
     opts = _options(ns)
     for n in SWEEP_LISTS[ns.variant]:
-        values = _sweep_values(ns, n, grid, opts)
+        values = kernel_grid(_sweep_spec(ns, n), ns.points, opts)
         _write_rows(out_dir / f"kernel_{ns.variant}_N{n}.csv", ("theta", "value"), grid, values)
     return 0
 

@@ -30,14 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterRangeError, NonConvergenceError
+from .errors import FilterRangeError, InsufficientOrderError, NonConvergenceError
 from .series import (
     DEFAULT_OPTIONS,
+    PARITIES,
     EvalOptions,
     HarmonicCoefficients,
     SampledSignal,
-    _chunk_sums,
-    _cos_terms,
+    _grid_values,
+    _point_values,
+    theta_grid,
 )
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "apply_filter_coeffs",
     "filter_direct",
     "kernel_eval",
+    "kernel_grid",
     "kernel_integral",
     "stage_range",
     "total_range",
@@ -315,16 +318,33 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int) -> int:
     return int(k_need)
 
 
-def _series_values(multipliers: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """1/(2*pi) + (1/pi) * sum_k multipliers[k-1] cos(k d), summed directly."""
-    chunks = (s / np.pi for s in _chunk_sums(multipliers, d, _cos_terms))
-    return sum(chunks, np.full(d.shape, 1.0 / (2.0 * np.pi)))
+def _kernel_series(
+    spec: KernelSpec, deriv: int, opts: EvalOptions
+) -> tuple[float, str, np.ndarray]:
+    """The kernel's deriv-th derivative as c + (1/pi) * sum_k w_k trig(k theta).
+
+    Returns (c, parity of trig, w) with K cut by the tail rule.  The n-th
+    derivative of cos(k theta) cycles through -k^n sin, -k^n cos, +k^n sin,
+    +k^n cos, so w_k = +-k^deriv m_k on cos (even deriv) or sin (odd deriv).
+    A derivative needs N >= deriv + 2 for its series to converge absolutely.
+    """
+    if deriv >= 1 and spec.order < deriv + 2:
+        raise InsufficientOrderError(
+            f"derivative of order {deriv} needs steps >= {deriv + 2}, got {spec.order}"
+        )
+    k = np.arange(1, _cutoff(spec, deriv, opts.tail_tol, opts.k_max) + 1, dtype=float)
+    weights = filter_multiplier(k, spec)
+    if deriv:
+        weights = (1.0, -1.0, -1.0, 1.0)[deriv % 4] * k**deriv * weights
+    return (1.0 / (2.0 * np.pi) if deriv == 0 else 0.0), PARITIES[deriv % 2], weights
 
 
-def _series_kernel(spec: KernelSpec, d: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    """The kernel's Fourier series at folded separations d, cut by the tail rule."""
-    k_cut = _cutoff(spec, 0, opts.tail_tol, opts.k_max)
-    return _series_values(filter_multiplier(np.arange(1, k_cut + 1), spec), d)
+def _series_kernel(
+    spec: KernelSpec, d: np.ndarray, opts: EvalOptions, deriv: int = 0
+) -> np.ndarray:
+    """The kernel's (deriv-th derivative's) Fourier series at angles d, summed directly."""
+    const, parity, weights = _kernel_series(spec, deriv, opts)
+    return const + _point_values(weights, d, parity) / np.pi
 
 
 def kernel_eval(spec: KernelSpec, dtheta, opts: EvalOptions | None = None):
@@ -351,19 +371,29 @@ def kernel_eval(spec: KernelSpec, dtheta, opts: EvalOptions | None = None):
     return float(out[0]) if scalar else out
 
 
-def _uniform_grid_series_values(multipliers: np.ndarray, resolution: int) -> np.ndarray:
-    """Series values on theta_j = -pi + 2*pi*j/M via an inverse DFT.
+def kernel_grid(
+    spec: KernelSpec, resolution: int, opts: EvalOptions | None = None, deriv: int = 0
+) -> np.ndarray:
+    """The kernel (deriv = 0) or its deriv-th derivative on theta_j = -pi + 2*pi*j/M.
 
-    Requires len(multipliers) < resolution (sub-Nyquist), in which case the
-    values are identical to the direct cosine sums up to rounding.
+    At deriv 0, N = 1 and N = 2 use kernel_eval's exact closed forms; every
+    other case sums the Fourier series cut by the rigorous tail rule with one
+    FFT, so the cost is O(K + M log M) for any K, and the values satisfy
+    v[M-j] == v[j] exactly (kernels, even derivatives) or v[M-j] == -v[j]
+    (odd derivatives).  A spec whose total range exceeds pi
+    (filters._Periodised) always takes the series.
     """
-    m = resolution
-    if multipliers.size >= m:
-        raise ValueError("series must be band-limited below the grid resolution")
-    spectrum = np.zeros(m)
-    k = np.arange(1, multipliers.size + 1)
-    spectrum[k] = multipliers * (-1.0) ** k  # cos(k*theta_j) = Re[(-1)^k w^(jk)]
-    return 1.0 / (2.0 * np.pi) + (m / np.pi) * np.fft.ifft(spectrum).real
+    opts = opts or DEFAULT_OPTIONS
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    if deriv < 0:
+        raise ValueError("derivative order must be >= 0")
+    if deriv == 0 and spec.order < 1:
+        raise ValueError("kernel_grid requires order >= 1 (order 0 is the delta kernel)")
+    if deriv == 0 and spec.order <= 2 and not isinstance(spec, _Periodised):
+        return kernel_eval(spec, theta_grid(resolution), opts)
+    const, parity, weights = _kernel_series(spec, deriv, opts)
+    return const + _grid_values(weights, resolution, parity) / np.pi
 
 
 def kernel_integral(spec: KernelSpec, opts: EvalOptions | None = None) -> float:
@@ -378,7 +408,6 @@ def kernel_integral(spec: KernelSpec, opts: EvalOptions | None = None) -> float:
     if spec.order < 1:
         raise ValueError("kernel_integral requires order >= 1")
     m = opts.quad_resolution
-    k_cut = min(opts.k_max, m - 1)
-    mult = filter_multiplier(np.arange(1, k_cut + 1), spec)
-    values = _uniform_grid_series_values(mult, m)
+    mult = filter_multiplier(np.arange(1, min(opts.k_max, m - 1) + 1), spec)
+    values = 1.0 / (2.0 * np.pi) + _grid_values(mult, m, "cosine") / np.pi
     return float(values.sum() * (2.0 * np.pi / m))

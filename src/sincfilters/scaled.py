@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientOrderError
 from .filters import (
     KernelSpec,
-    _cutoff,
+    _series_kernel,
     apply_filter_coeffs,
     filter_multiplier,
     kernel_eval,
     total_range,
 )
-from .series import DEFAULT_OPTIONS, EvalOptions, _chunk_sums, _cos_terms, _sin_terms
+from .series import DEFAULT_OPTIONS, EvalOptions
 
 __all__ = [
     "ScaledKernelParams",
@@ -56,25 +55,11 @@ def scaled_kernel_derivative(
     d/dtheta K(eps, N) = (1/eps) [K(eps/2, N-1)(theta + eps/2)
                                   - K(eps/2, N-1)(theta - eps/2)].
     """
-    opts = opts or DEFAULT_OPTIONS
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    if params.order < order + 2:
-        raise InsufficientOrderError(
-            f"derivative of order {order} needs steps >= {order + 2}, got {params.order}"
-        )
     th = np.asarray(dtheta, dtype=float)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    k_cut = _cutoff(params, order, opts.tail_tol, opts.k_max)
-    k = np.arange(1, k_cut + 1, dtype=float)
-    weights = filter_multiplier(k, params) * k**order / np.pi
-    # d^n cos(k theta) cycles through -sin, -cos, +sin, +cos (times k^n)
-    terms = (_cos_terms, _sin_terms)[order % 2]
-    sign = (1.0, -1.0, -1.0, 1.0)[order % 4]
-    chunks = (sign * s for s in _chunk_sums(weights, th, terms))
-    out = sum(chunks, np.zeros(th.shape))
-    return float(out[0]) if scalar else out
+    out = _series_kernel(params, np.atleast_1d(th), opts or DEFAULT_OPTIONS, order)
+    return float(out[0]) if th.ndim == 0 else out
 
 
 def invariant_points(eps: float) -> list[tuple[float, float]]:

@@ -146,10 +146,35 @@ def _chunk_sums(weights: np.ndarray, points: np.ndarray, terms):
         yield terms(points, k) @ weights[lo : lo + k.size]
 
 
-def _eval_many(coeffs: HarmonicCoefficients, thetas: np.ndarray, k_max: int) -> np.ndarray:
-    """Partial sums at many angles, truncated at k_max."""
-    terms = _cos_terms if coeffs.parity == "cosine" else _sin_terms
-    return sum(_chunk_sums(coeffs.coeffs[:k_max], thetas, terms), np.zeros(thetas.shape))
+def _point_values(weights: np.ndarray, thetas: np.ndarray, parity: str) -> np.ndarray:
+    """sum_k weights[k-1] * cos(k theta) (or sin) at arbitrary angles, summed directly."""
+    terms = _cos_terms if parity == "cosine" else _sin_terms
+    return sum(_chunk_sums(weights, thetas, terms), np.zeros(thetas.shape))
+
+
+def _grid_values(weights: np.ndarray, resolution: int, parity: str) -> np.ndarray:
+    """sum_k weights[k-1] * cos(k theta_j) (or sin) on theta_j = -pi + 2*pi*j/M, by one FFT.
+
+    On this grid cos(k theta_j) = (-1)^k cos(2*pi*jk/M) and likewise for sin,
+    and harmonic k takes the same values as harmonic k mod M, so folding the
+    signed weights into M bins is exact for any K.  One real FFT of the bins
+    gives the values for j <= M/2; the rest follow from theta_{M-j} = -theta_j
+    (mod 2*pi), so v[M-j] = v[j] for cosine and -v[j] for sine exactly, and a
+    sine series is exactly 0 at theta = -pi and theta = 0.  Work and memory
+    are O(K + M log M).
+    """
+    m = resolution
+    k = np.arange(1, weights.size + 1)
+    bins = np.bincount(k % m, weights=np.where(k % 2 == 1, -weights, weights), minlength=m)
+    half = np.fft.rfft(bins)  # sum_b bins[b] * exp(-2*pi*i*jb/M), j = 0..M//2
+    if parity == "cosine":
+        v, sign = half.real, 1.0
+    else:
+        v, sign = -half.imag, -1.0
+        v[0] = 0.0
+        if m % 2 == 0:
+            v[-1] = 0.0  # j = M/2
+    return np.concatenate([v, sign * v[1 : m - v.size + 1][::-1]])
 
 
 def eval_series(coeffs: HarmonicCoefficients, theta: float, opts: EvalOptions | None = None):
@@ -161,7 +186,7 @@ def eval_series(coeffs: HarmonicCoefficients, theta: float, opts: EvalOptions | 
     th = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("theta must be finite")
-    vals = _eval_many(coeffs, np.atleast_1d(th), opts.k_max)
+    vals = _point_values(coeffs.coeffs[: opts.k_max], np.atleast_1d(th), coeffs.parity)
     return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
 
 
@@ -188,11 +213,11 @@ def make_waveform(kind: str, k_max: int) -> HarmonicCoefficients:
 def render_signal(
     coeffs: HarmonicCoefficients, resolution: int, opts: EvalOptions | None = None
 ) -> SampledSignal:
-    """Sample the series on the standard grid of the given resolution."""
+    """Sample the series on the standard grid of the given resolution (one FFT, any K)."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     opts = opts or DEFAULT_OPTIONS
-    return SampledSignal(_eval_many(coeffs, theta_grid(resolution), opts.k_max))
+    return SampledSignal(_grid_values(coeffs.coeffs[: opts.k_max], resolution, coeffs.parity))
 
 
 def save_coefficients(coeffs: HarmonicCoefficients, path) -> None:

@@ -137,3 +137,26 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+def test_grid_path_exit_codes(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    # a first derivative needs N >= 3 (InsufficientOrderError)
+    assert main(["derivative", "--N", "2", "--order", "1", "--points", "64", "--out", out]) == 1
+    assert main(["derivative", "--N", "100", "--order", "0", "--points", "64", "--out", out]) == 1
+    assert main(["kernel", "--N", "5", "--tol", "1e-9", "--points", "0", "--out", out]) == 1
+
+
+def test_sweep_periodised_matches_direct_series(tmp_path):
+    from sincfilters.filters import _Periodised, _series_kernel
+    from sincfilters.series import EvalOptions, theta_grid
+
+    out_dir = tmp_path / "sweep"
+    rc = main(["sweep", "--variant", "naive", "--eps", "0.5", "--points", "1024",
+               "--out", str(out_dir)])
+    assert rc == 0
+    grid = theta_grid(1024)
+    for n in (8, 16, 32, 64, 128):  # total range n * 0.5 > pi
+        _, data = read_csv(out_dir / f"kernel_naive_N{n}.csv")
+        direct = _series_kernel(_Periodised(n, 0.5, "naive"), grid, EvalOptions(tail_tol=1e-9))
+        assert np.abs(data[:, 1] - direct).max() <= 1e-12

@@ -10,17 +10,21 @@ from sincfilters import (
     EvalOptions,
     FilterRangeError,
     HarmonicCoefficients,
+    InsufficientOrderError,
     KernelSpec,
     NonConvergenceError,
     SampledSignal,
     apply_filter_coeffs,
+    eval_series,
     filter_direct,
     filter_multiplier,
     kernel_eval,
+    kernel_grid,
     kernel_integral,
     make_waveform,
     oracle_moving_average,
     render_signal,
+    scaled_kernel_derivative,
     sinc,
     theta_grid,
     total_range,
@@ -244,7 +248,9 @@ def test_kernel_series_n3_matches_triple_box_closed_form():
 def test_closed_forms_match_truncated_series():
     # the N=1 and N=2 closed forms agree with long partial sums of their
     # own Fourier series (slow pointwise convergence bounds the tolerance)
-    from sincfilters.filters import _series_values
+    def _series_values(multipliers, d):
+        cosines = HarmonicCoefficients("cosine", multipliers)
+        return 1 / (2 * np.pi) + eval_series(cosines, d) / np.pi
 
     k = np.arange(1, 200_001)
     eps = 0.5
@@ -310,6 +316,70 @@ def test_tail_rule_bounds_the_computed_tail():
         k = np.arange(k_cut + 1, 4 * k_cut + 1, dtype=float)
         tail = np.sum(np.abs(filter_multiplier(k, spec)) * k**deriv) / np.pi
         assert tail <= tol, (variant, order, deriv, k_cut, tail / tol)
+
+
+# ---------------------------------------------------------------- kernels on the grid
+
+
+def test_kernel_grid_closed_forms_are_kernel_eval():
+    for spec in (KernelSpec(1, 0.5, "naive"), KernelSpec(2, 0.5), KernelSpec(2, 0.4, "scaled")):
+        for m in (1000, 1023):
+            assert np.array_equal(kernel_grid(spec, m), kernel_eval(spec, theta_grid(m)))
+
+
+@pytest.mark.parametrize(
+    "spec, tol, resolution",
+    [
+        (KernelSpec(6, 0.5, "fixed"), 1e-9, 1024),  # K = 718 < M
+        (KernelSpec(100, 0.5, "scaled"), 1e-12, 8192),  # K = 4096 < M
+        (KernelSpec(8192, 0.5, "fixed"), 1e-9, 1024),  # K = 16425 > M
+        (KernelSpec(3, 0.5, "scaled"), 1e-9, 1024),  # K = 285460 >> M
+    ],
+)
+def test_kernel_grid_matches_direct_sum(spec, tol, resolution):
+    opts = EvalOptions(tail_tol=tol)
+    rows = np.arange(0, resolution, 37)
+    got = kernel_grid(spec, resolution, opts)
+    direct = kernel_eval(spec, theta_grid(resolution)[rows], opts)
+    assert np.abs(got[rows] - direct).max() <= 1e-12 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("deriv", [1, 2, 3])
+def test_kernel_grid_derivatives_match_direct_sum(deriv):
+    spec = KernelSpec(100, 0.5, "scaled")
+    rows = np.arange(0, 1024, 37)
+    got = kernel_grid(spec, 1024, deriv=deriv)
+    direct = scaled_kernel_derivative(spec, deriv, theta_grid(1024)[rows])
+    assert np.abs(got[rows] - direct).max() <= 1e-12 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("resolution", [1024, 1023])
+def test_kernel_grid_exactly_symmetric(resolution):
+    opts = EvalOptions(tail_tol=1e-9)
+    cases = [(KernelSpec(1, 0.5, "naive"), 0), (KernelSpec(5, 0.5, "gaussian"), 0),
+             (KernelSpec(100, 0.5, "scaled"), 0)]
+    cases += [(KernelSpec(100, 0.5, "scaled"), d) for d in (1, 2, 3)]
+    for spec, deriv in cases:
+        v = kernel_grid(spec, resolution, opts, deriv)
+        mirror = v[1:][::-1]  # theta_{M-j} = -theta_j (mod 2 pi)
+        if deriv % 2 == 0:
+            assert np.array_equal(v[1:], mirror), (spec, deriv)
+        else:
+            assert np.array_equal(v[1:], -mirror), (spec, deriv)
+            assert v[0] == 0.0
+            if resolution % 2 == 0:
+                assert v[resolution // 2] == 0.0
+
+
+def test_kernel_grid_rejects_invalid_requests():
+    with pytest.raises(ValueError):
+        kernel_grid(KernelSpec(0, 0.5), 64)  # the delta kernel
+    with pytest.raises(ValueError):
+        kernel_grid(KernelSpec(4, 0.5), 0)
+    with pytest.raises(ValueError):
+        kernel_grid(KernelSpec(4, 0.5), 64, deriv=-1)
+    with pytest.raises(InsufficientOrderError):
+        kernel_grid(KernelSpec(3, 0.5, "scaled"), 64, deriv=2)
 
 
 def test_kernel_nonconvergence_at_default_tolerance():

@@ -193,3 +193,43 @@ def test_oracle_series_agrees_with_eval():
     assert oracle_series_value("sine", w.coeffs, 0.5, k_cap=10) == pytest.approx(
         math.fsum(w.coeffs[k - 1] * math.sin(k * 0.5) for k in range(1, 11)), abs=0
     )
+
+
+# ---------------------------------------------------------------- grid engine
+
+
+@pytest.mark.parametrize("resolution", [64, 65])
+def test_grid_engine_matches_direct_sum_below_nyquist(resolution):
+    rng = np.random.default_rng(3)
+    grid = theta_grid(resolution)
+    for parity in ("cosine", "sine"):
+        w = HarmonicCoefficients(parity, rng.normal(size=resolution - 5))
+        got = render_signal(w, resolution).values
+        scale = np.abs(w.coeffs).sum()  # bounds |f|; both sums round relative to it
+        np.testing.assert_allclose(got, eval_series(w, grid), rtol=0, atol=1e-13 * scale)
+
+
+def test_grid_engine_aliasing_matches_direct_sum():
+    # K = 2^16 harmonics on M = 4096 points: harmonic k folds into bin k mod M.
+    # The direct sum sees the double nearest -pi, where this partial sum is
+    # steep (about 4e4 per radian); the engine returns the exact grid value 0.
+    w = make_waveform("square", 2**16)
+    got = render_signal(w, 4096).values
+    rows = np.union1d(np.arange(0, 4096, 5), [2048])  # theta = -pi, 0 and a stride prime to M
+    direct = eval_series(w, theta_grid(4096)[rows])
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got[rows], direct, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("resolution", [4096, 4095])
+def test_grid_values_exactly_symmetric(resolution):
+    for kind in ("square", "sawtooth", "triangle"):
+        v = render_signal(make_waveform(kind, 3 * resolution + 7), resolution).values
+        mirror = v[1:][::-1]  # theta_{M-j} = -theta_j (mod 2 pi)
+        if kind == "triangle":
+            assert np.array_equal(v[1:], mirror)
+        else:
+            assert np.array_equal(v[1:], -mirror)
+            assert v[0] == 0.0  # theta = -pi
+            if resolution % 2 == 0:
+                assert v[resolution // 2] == 0.0  # theta = 0

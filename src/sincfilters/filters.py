@@ -286,14 +286,16 @@ def _block_tail_cutoff(eps: float, steps: int, deriv: int, tol: float) -> float:
     return math.ceil(2.0 ** ok[0] / eps)
 
 
-def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int) -> int:
-    """Smallest K with the rigorous tail bound (1/pi) sum_{k>K} |m_k| k^deriv <= tol.
+def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float = 1.0) -> int:
+    """Smallest K with the rigorous tail bound (1/pi) sum_{k>K} |m_k| k^deriv r^k <= tol.
 
     Both rules use |m_k| <= prod_n 1/(k a_n), valid once k >= 1/min(a_n), whose
     weighted tail is at most K^(deriv+1-N) / ((N-1-deriv) prod_n a_n):
     equal stages s apply it from K = ceil(1/s) + 1; scaled applies it from
     K = 2^N/eps and also tries the dyadic block rule, keeping the smaller K.
-    Raises NonConvergenceError when neither reaches tol within k_max.
+    At a radius ratio r < 1 (deriv 0 only) |m_k| <= 1 also gives the
+    geometric tail r^(K+1) / (pi (1 - r)), and the smallest K wins.
+    Raises NonConvergenceError when no rule reaches tol within k_max.
     """
     n, eps = spec.order, spec.range_param
     decay = n - 1 - deriv
@@ -309,9 +311,13 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int) -> int:
         s = stage_range(spec)
         log_k = (-math.log(math.pi * tol * decay) - n * math.log(s)) / decay
         k_need = max(math.ceil(math.exp(min(log_k, 700.0))), math.ceil(1.0 / s) + 1)
+    if radius < 1.0:
+        k_geo = math.ceil(math.log(math.pi * tol * (1.0 - radius)) / math.log(radius))
+        k_need = min(k_need, max(k_geo, 1))
     if k_need > k_max:
+        where = f" at radius ratio {radius}" if radius < 1.0 else ""
         raise NonConvergenceError(
-            f"{spec.variant} kernel series (N={n}, derivative order {deriv}) needs "
+            f"{spec.variant} kernel series (N={n}, derivative order {deriv}){where} needs "
             f"{k_need} harmonics to reach tail_tol={tol}; k_max={k_max}. "
             f"Loosen tail_tol or raise k_max."
         )
@@ -319,11 +325,12 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int) -> int:
 
 
 def _kernel_series(
-    spec: KernelSpec, deriv: int, opts: EvalOptions
+    spec: KernelSpec, deriv: int, opts: EvalOptions, radius: float = 1.0
 ) -> tuple[float, str, np.ndarray]:
     """The kernel's deriv-th derivative as c + (1/pi) * sum_k w_k trig(k theta).
 
-    Returns (c, parity of trig, w) with K cut by the tail rule.  The n-th
+    Returns (c, parity of trig, w) with K cut by the tail rule, for terms
+    that also carry r^k when the radius ratio r is below 1.  The n-th
     derivative of cos(k theta) cycles through -k^n sin, -k^n cos, +k^n sin,
     +k^n cos, so w_k = +-k^deriv m_k on cos (even deriv) or sin (odd deriv).
     A derivative needs N >= deriv + 2 for its series to converge absolutely.
@@ -332,7 +339,7 @@ def _kernel_series(
         raise InsufficientOrderError(
             f"derivative of order {deriv} needs steps >= {deriv + 2}, got {spec.order}"
         )
-    k = np.arange(1, _cutoff(spec, deriv, opts.tail_tol, opts.k_max) + 1, dtype=float)
+    k = np.arange(1, _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius) + 1, dtype=float)
     weights = filter_multiplier(k, spec)
     if deriv:
         weights = (1.0, -1.0, -1.0, 1.0)[deriv % 4] * k**deriv * weights

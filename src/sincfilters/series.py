@@ -50,7 +50,7 @@ class EvalOptions:
 
     k_max caps every series summation; tail_tol is the absolute bound the
     rigorous truncation rules must reach; quad_resolution is the number of
-    quadrature points per period.
+    quadrature points per period of kernel_integral, its only user.
     """
 
     k_max: int = 2**20

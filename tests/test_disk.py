@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sincfilters import (
@@ -9,6 +11,7 @@ from sincfilters import (
     HarmonicCoefficients,
     InnerAnalytic,
     KernelSpec,
+    NonConvergenceError,
     complex_filter_coeffs,
     complex_filter_eval,
     complex_filter_order_n,
@@ -44,6 +47,15 @@ def test_eval_inner_radius_guard():
     assert eval_inner(InnerAnalytic([1.0]), DiskPoint(1.0, 0.0)) == pytest.approx(1.0 + 0j)
 
 
+def test_zero_point_is_exact_without_warnings():
+    w = InnerAnalytic([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_inner(w, DiskPoint(0.0, 0.7)) == 0j
+        # the segment [0, 0.5] of z^2 averages to 0.5^2 / 3
+        assert segment_filter(w, 0.25 + 0j, 0.25, 0.0) == pytest.approx(1 / 12, abs=1e-16)
+
+
 def test_log_derivative_and_primitive_examples():
     np.testing.assert_array_equal(log_derivative(InnerAnalytic([1.0])).coeffs, [1.0])
     np.testing.assert_array_equal(log_derivative(InnerAnalytic([0.0, 1.0])).coeffs, [0.0, 2.0])
@@ -58,11 +70,15 @@ def test_log_derivative_and_primitive_examples():
 @given(
     coeffs=st.lists(st.floats(-100, 100, allow_subnormal=False), min_size=1, max_size=12)
 )
+@example(coeffs=[0.0] * 9 + [2.2250738585072014e-308])
 def test_log_operations_are_inverses(coeffs):
     w = InnerAnalytic(coeffs)
-    # one rounding each way for the divide/multiply pair: 1 ulp
+    # one rounding each way for the divide/multiply pair: 1 ulp; a quotient
+    # a_k / k in the subnormals rounds by up to 2^-1075 absolute, so the
+    # product misses a_k by up to k * 2^-1075 <= 12 * 2^-1075 (2^-1075 itself
+    # underflows to 0, hence 6 * 2^-1074)
     np.testing.assert_allclose(
-        log_derivative(log_primitive(w)).coeffs, w.coeffs, rtol=5e-16, atol=0
+        log_derivative(log_primitive(w)).coeffs, w.coeffs, rtol=5e-16, atol=6 * 2.0**-1074
     )
     # dyadic harmonic indices round-trip bit-exactly
     w2 = InnerAnalytic(coeffs[:2])
@@ -151,7 +167,7 @@ def test_order_one_superposition_is_first_order_filter():
     p = DiskPoint(0.7, 2.1)
     a = complex_filter_order_n(w, 0.4, 1, p)
     b = complex_filter_eval(w, 0.4, p)
-    assert abs(a - b) < 1e-15
+    assert a == b
 
 
 def test_complex_kernel_at_origin():
@@ -179,6 +195,12 @@ def test_complex_kernel_quadratures():
     assert (vals.imag.sum() * h) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_complex_kernel_nonconvergence_names_radius_ratio():
+    opts = EvalOptions(k_max=1000)
+    with pytest.raises(NonConvergenceError, match="radius ratio"):
+        complex_kernel_eval(KernelSpec(1, 0.5, "naive"), DiskPoint(0.999, 0.0), 1.0, 0.0, opts)
+
+
 def test_complex_kernel_approaches_real_kernel():
     from sincfilters import kernel_eval
 
@@ -195,9 +217,16 @@ def test_segment_filter_linear_and_quadratic():
     assert segment_filter(w1, centre, 0.3, 0.7) == pytest.approx(centre, abs=1e-14)
     w2 = InnerAnalytic([0.0, 1.0])
     expected = 0.25 / 3
-    assert segment_filter(w2, 0j, 0.5, 0.0) == pytest.approx(expected, abs=1e-9)
+    assert segment_filter(w2, 0j, 0.5, 0.0) == pytest.approx(expected, abs=1e-15)
     rotated = segment_filter(w2, 0j, 0.5, np.pi / 2)
-    assert rotated == pytest.approx(-expected + 0j, abs=1e-9)
+    assert rotated == pytest.approx(-expected + 0j, abs=1e-15)
+    # a short segment cancels in the primitive difference: within the
+    # docstring's rounding bound 2^-52 * sum |a_k| R^(k+1) / L
+    half, direction = 1e-6, np.exp(0.3j)
+    short = segment_filter(w2, centre, half, 0.3)
+    exact = centre**2 + (half * direction) ** 2 / 3
+    radius = abs(centre) + half
+    assert abs(short - exact) <= 2.0**-52 * radius**3 / half
 
 
 def test_segment_filter_disk_guard():

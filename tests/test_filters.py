@@ -298,7 +298,7 @@ def test_kernel_integral_examples():
 
 
 def test_tail_rule_bounds_the_computed_tail():
-    # (1/pi) sum_{K<k<=4K} |m_k| k^d stays below tol at the K the rule picks
+    # (1/pi) sum_{K<k<=4K} |m_k| k^d r^k stays below tol at the K the rule picks
     from sincfilters.filters import _cutoff
 
     cases = [
@@ -310,12 +310,16 @@ def test_tail_rule_bounds_the_computed_tail():
         ("scaled", 100, 0.5, 1, 1e-9), ("scaled", 5, 0.5, 2, 1e-3), ("scaled", 10, 0.5, 2, 1e-6),
         ("scaled", 100, 0.5, 2, 1e-9),
     ]
-    for variant, order, eps, deriv, tol in cases:
+    radius_cases = [
+        ("naive", 1, 0.5, 0, 1e-12, 0.9), ("fixed", 2, 0.5, 0, 1e-12, 0.999),
+        ("scaled", 2, 0.5, 0, 1e-12, 0.99), ("fixed", 4, 0.5, 0, 1e-9, 0.999),
+    ]
+    for variant, order, eps, deriv, tol, radius in [c + (1.0,) for c in cases] + radius_cases:
         spec = KernelSpec(order, eps, variant)
-        k_cut = _cutoff(spec, deriv, tol, 2**16)
+        k_cut = _cutoff(spec, deriv, tol, 2**16, radius)
         k = np.arange(k_cut + 1, 4 * k_cut + 1, dtype=float)
-        tail = np.sum(np.abs(filter_multiplier(k, spec)) * k**deriv) / np.pi
-        assert tail <= tol, (variant, order, deriv, k_cut, tail / tol)
+        tail = np.sum(np.abs(filter_multiplier(k, spec)) * k**deriv * radius**k) / np.pi
+        assert tail <= tol, (variant, order, deriv, radius, k_cut, tail / tol)
 
 
 # ---------------------------------------------------------------- kernels on the grid

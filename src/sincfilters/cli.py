@@ -1,9 +1,10 @@
 """Command-line surface: kernel/waveform data files and batch filtering.
 
-Every command writes plain CSV (theta,value or k,coefficient) or JSON with
-floats at 17 significant digits, so identical invocations produce
-byte-identical files.  Exit codes: 0 success, 1 usage or precondition error,
-2 numerical non-convergence.
+Every command writes plain CSV (theta,value or k,coefficient; floats at 17
+significant digits, k as an integer) or JSON (floats in Python's shortest
+round-trip form), so identical invocations produce byte-identical files.
+Exit codes: 0 success, 1 usage or precondition error, 2 numerical
+non-convergence.
 """
 
 from __future__ import annotations

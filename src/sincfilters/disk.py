@@ -224,8 +224,7 @@ def segment_filter(
 def save_inner(w: InnerAnalytic, path) -> None:
     """Write {"coeffs": [...]} JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"coeffs": w.coeffs.tolist()}, fh)
-        fh.write("\n")
+        fh.write(json.dumps({"coeffs": w.coeffs.tolist()}) + "\n")
 
 
 def load_inner(path) -> InnerAnalytic:

@@ -38,6 +38,7 @@ from .series import (
     HarmonicCoefficients,
     SampledSignal,
     _grid_values,
+    _mirror,
     _point_values,
     theta_grid,
 )
@@ -60,7 +61,7 @@ VARIANTS = ("naive", "fixed", "gaussian", "scaled")
 
 _SINC_TAYLOR_CUT = 1e-4
 
-# Factors with argument below this are 1 to within 1e-17 and are skipped.
+# A factor sinc(x) with 0 <= x < this rounds to exactly 1.0 (x^2/6 < 2^-54) and is skipped.
 _NEGLIGIBLE_ARG = 1e-8
 
 
@@ -116,10 +117,16 @@ def sinc(x):
     if not np.all(np.isfinite(arr)):
         raise ValueError("sinc argument must be finite")
     small = np.abs(arr) < _SINC_TAYLOR_CUT
-    safe = np.where(small, 1.0, arr)
-    t = np.where(small, arr, 0.0)
-    out = np.where(small, 1.0 - t * t / 6.0 + t**4 / 120.0, np.sin(safe) / safe)
+    out = np.empty_like(arr)
+    x = arr[~small]
+    out[small] = _sinc_taylor(arr[small])
+    out[~small] = np.sin(x) / x
     return float(out) if arr.ndim == 0 else out
+
+
+def _sinc_taylor(t: np.ndarray) -> np.ndarray:
+    """sinc's branch for |t| < _SINC_TAYLOR_CUT."""
+    return 1.0 - t * t / 6.0 + t**4 / 120.0
 
 
 def stage_range(spec: KernelSpec) -> float:
@@ -160,22 +167,40 @@ def filter_multiplier(k, spec: KernelSpec):
     """Eigenvalue of the order-N filter on the k-th harmonic.
 
     naive: sinc(k eps)^N; fixed: sinc(k eps/N)^N; gaussian: sinc(k eps/sqrt N)^N;
-    scaled: prod_{n=1..N} sinc(k eps / 2^n) as a running product, stopping at the
-    first stage whose factors are all 1 to within 1e-17.  N = 0 is the identity (1).
+    scaled: prod_{n=1..N} sinc(k eps / 2^n) as a running product in stage order.
+    With k ascending, each stage's arguments k a_n ascend too, so sinc's
+    Taylor and sin(x)/x branches are two slices; the factors below them
+    (k a_n < _NEGLIGIBLE_ARG) are exactly 1.0 and are skipped, and as the
+    stages shrink the product stops at the first stage with none left.
+    N = 0 is the identity (1).
     """
     karr = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(karr)):
+        raise ValueError("harmonic index k must be finite")
     if np.any(karr < 1):
         raise ValueError("harmonic index k must be >= 1")
-    if spec.variant == "scaled":
-        out = np.ones_like(karr)
-        top = float(np.max(karr)) if karr.size else 0.0
-        for a in _stages(spec):
-            if top * a < _NEGLIGIBLE_ARG:
-                break
-            out = out * sinc(karr * a)
-    else:
+    if spec.variant != "scaled":
         out = sinc(karr * stage_range(spec)) ** spec.order
-    return float(out) if karr.ndim == 0 else out
+        return float(out) if karr.ndim == 0 else out
+    flat = karr.ravel()
+    order = None if np.all(flat[1:] >= flat[:-1]) else np.argsort(flat)
+    if order is not None:
+        flat = flat[order]
+    out = np.ones_like(flat)
+    lo = 0  # flat[:lo] has no factor left that differs from 1.0
+    for a in _stages(spec):
+        arg = flat[lo:] * a
+        if arg.size and not np.isfinite(arg[-1]):
+            raise ValueError("sinc argument must be finite")
+        skip, cut = np.searchsorted(arg, (_NEGLIGIBLE_ARG, _SINC_TAYLOR_CUT))
+        if skip == arg.size:
+            break
+        out[lo + skip : lo + cut] *= _sinc_taylor(arg[skip:cut])
+        out[lo + cut :] *= np.sin(arg[cut:]) / arg[cut:]
+        lo += skip
+    if order is not None:
+        out[order] = out.copy()  # back to the caller's order of k
+    return float(out[0]) if karr.ndim == 0 else out.reshape(karr.shape)
 
 
 def apply_filter_coeffs(coeffs: HarmonicCoefficients, spec: KernelSpec) -> HarmonicCoefficients:
@@ -383,7 +408,8 @@ def kernel_grid(
 ) -> np.ndarray:
     """The kernel (deriv = 0) or its deriv-th derivative on theta_j = -pi + 2*pi*j/M.
 
-    At deriv 0, N = 1 and N = 2 use kernel_eval's exact closed forms; every
+    At deriv 0, N = 1 and N = 2 use kernel_eval's exact closed forms on
+    j <= M/2, mirrored to the rest so the kernel is exactly even; every
     other case sums the Fourier series cut by the rigorous tail rule with one
     FFT, so the cost is O(K + M log M) for any K, and the values satisfy
     v[M-j] == v[j] exactly (kernels, even derivatives) or v[M-j] == -v[j]
@@ -398,7 +424,8 @@ def kernel_grid(
     if deriv == 0 and spec.order < 1:
         raise ValueError("kernel_grid requires order >= 1 (order 0 is the delta kernel)")
     if deriv == 0 and spec.order <= 2 and not isinstance(spec, _Periodised):
-        return kernel_eval(spec, theta_grid(resolution), opts)
+        half = theta_grid(resolution)[: resolution // 2 + 1]
+        return _mirror(kernel_eval(spec, half, opts), resolution)
     const, parity, weights = _kernel_series(spec, deriv, opts)
     return const + _grid_values(weights, resolution, parity) / np.pi
 

@@ -43,6 +43,9 @@ _CHUNK_BYTES = 2**25
 # load_signal accepts a theta within this fraction of the grid step of theta_j.
 _THETA_SLACK = 1e-3
 
+# _write_rows formats this many rows with one % operation.
+_ROW_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class EvalOptions:
@@ -152,6 +155,11 @@ def _point_values(weights: np.ndarray, thetas: np.ndarray, parity: str) -> np.nd
     return sum(_chunk_sums(weights, thetas, terms), np.zeros(thetas.shape))
 
 
+def _mirror(half: np.ndarray, resolution: int, sign: float = 1.0) -> np.ndarray:
+    """Extend values at j = 0..M//2 to j = 0..M-1 by v[M-j] = sign * v[j]."""
+    return np.concatenate([half, sign * half[1 : resolution - half.size + 1][::-1]])
+
+
 def _grid_values(weights: np.ndarray, resolution: int, parity: str) -> np.ndarray:
     """sum_k weights[k-1] * cos(k theta_j) (or sin) on theta_j = -pi + 2*pi*j/M, by one FFT.
 
@@ -174,7 +182,7 @@ def _grid_values(weights: np.ndarray, resolution: int, parity: str) -> np.ndarra
         v[0] = 0.0
         if m % 2 == 0:
             v[-1] = 0.0  # j = M/2
-    return np.concatenate([v, sign * v[1 : m - v.size + 1][::-1]])
+    return _mirror(v, m, sign)
 
 
 def eval_series(coeffs: HarmonicCoefficients, theta: float, opts: EvalOptions | None = None):
@@ -223,8 +231,7 @@ def render_signal(
 def save_coefficients(coeffs: HarmonicCoefficients, path) -> None:
     """Write {"parity": ..., "coeffs": [...]} JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"parity": coeffs.parity, "coeffs": coeffs.coeffs.tolist()}, fh)
-        fh.write("\n")
+        fh.write(json.dumps({"parity": coeffs.parity, "coeffs": coeffs.coeffs.tolist()}) + "\n")
 
 
 def load_coefficients(path) -> HarmonicCoefficients:
@@ -234,10 +241,19 @@ def load_coefficients(path) -> HarmonicCoefficients:
 
 
 def _write_rows(path, header: tuple[str, str], xs, ys) -> None:
-    """Two-column CSV with LF line ends and values at 17 significant digits."""
+    """Two-column CSV with LF line ends: integers as integers, floats at 17 significant digits.
+
+    Each block of _ROW_BLOCK rows is one % over Python scalars, the same bytes
+    as formatting every value with .17g; %d equals .17g for |k| < 10^17.
+    """
+    cols = (np.asarray(xs), np.asarray(ys))
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{header[0]},{header[1]}\n")
-        fh.writelines(f"{x:.17g},{y:.17g}\n" for x, y in zip(xs, ys))
+        for lo in range(0, cols[0].size, _ROW_BLOCK):
+            x, y = (c[lo : lo + _ROW_BLOCK].tolist() for c in cols)
+            cells = tuple(itertools.chain.from_iterable(zip(x, y)))
+            fh.write((row * (len(cells) // 2)) % cells)
 
 
 def save_signal(signal: SampledSignal, path) -> None:
@@ -255,11 +271,16 @@ def load_signal(path) -> SampledSignal:
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != "theta,value":
             raise ValueError("expected a theta,value CSV header")
-        rows = (row for row in fh if row.strip())
-        first = next(rows, None)
-        if first is None:  # before np.loadtxt, which would warn on empty input
+        body = fh.tell()
+        if not any(row.strip() for row in iter(fh.readline, "")):  # np.loadtxt would warn
             raise ValueError("expected at least one theta,value row")
-        data = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2)
+        fh.seek(body)
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # np.loadtxt reads a whitespace-only line as a one-cell row
+            fh.seek(body)
+            rows = (row for row in fh if row.strip())
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError("expected theta,value rows of exactly two cells")
     signal = SampledSignal(data[:, 1])

@@ -1,3 +1,6 @@
+import json
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -71,18 +74,23 @@ def test_log_derivative_and_primitive_examples():
     coeffs=st.lists(st.floats(-100, 100, allow_subnormal=False), min_size=1, max_size=12)
 )
 @example(coeffs=[0.0] * 9 + [2.2250738585072014e-308])
+@example(coeffs=[0.0, 2.0**-1022 + 2.0**-1074])  # a_2 / 2 is subnormal and rounds
 def test_log_operations_are_inverses(coeffs):
     w = InnerAnalytic(coeffs)
     # one rounding each way for the divide/multiply pair: 1 ulp; a quotient
     # a_k / k in the subnormals rounds by up to 2^-1075 absolute, so the
     # product misses a_k by up to k * 2^-1075 <= 12 * 2^-1075 (2^-1075 itself
     # underflows to 0, hence 6 * 2^-1074)
-    np.testing.assert_allclose(
-        log_derivative(log_primitive(w)).coeffs, w.coeffs, rtol=5e-16, atol=6 * 2.0**-1074
-    )
-    # dyadic harmonic indices round-trip bit-exactly
-    w2 = InnerAnalytic(coeffs[:2])
-    np.testing.assert_array_equal(log_derivative(log_primitive(w2)).coeffs, w2.coeffs)
+    back = log_derivative(log_primitive(w)).coeffs
+    np.testing.assert_allclose(back, w.coeffs, rtol=5e-16, atol=6 * 2.0**-1074)
+    # k = 1 round-trips bit-exactly, and so does k = 2 wherever halving a_2 is
+    # exact: always, unless a_2 / 2 falls below the smallest normal and a_2
+    # has its last bit, 2^-1074, set
+    assert back[0] == w.coeffs[0]
+    if len(w) >= 2:
+        a2 = w.coeffs[1]
+        if abs(a2) >= 2.0 * sys.float_info.min or math.ldexp(a2, 1074) % 2 == 0:
+            assert back[1] == a2
 
 
 def test_complex_filter_coeffs_examples():
@@ -267,3 +275,15 @@ def test_inner_json_roundtrip(tmp_path):
     path = tmp_path / "inner.json"
     save_inner(w, path)
     np.testing.assert_array_equal(load_inner(path).coeffs, w.coeffs)
+
+
+def test_save_inner_matches_json_dump(tmp_path):
+    rng = np.random.default_rng(4)
+    values = np.concatenate([[-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1],
+                             rng.normal(size=3000)])
+    path = tmp_path / "inner.json"
+    save_inner(InnerAnalytic(values), path)
+    with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+        json.dump({"coeffs": values.tolist()}, fh)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()

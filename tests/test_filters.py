@@ -81,6 +81,55 @@ def test_multiplier_scaled_is_stage_product():
     assert filter_multiplier(k, spec) == pytest.approx(expected, rel=1e-15)
 
 
+def _stage_product(k, spec):
+    """prod_n sinc(k a_n) over every stage, factors of exactly 1.0 included."""
+    out = np.ones_like(np.asarray(k, dtype=float))
+    for n in range(1, spec.order + 1):
+        out = out * sinc(k * (spec.range_param / 2.0**n))
+    return out
+
+
+def test_sinc_branches_match_the_both_branch_form():
+    # each branch on its own subset gives the bits of evaluating both everywhere
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 7, 64, 1000):
+        x = rng.normal(size=size) * rng.choice([1e-9, 1e-5, 9.9e-5, 1e-4, 0.3, 40.0], size=size)
+        small = np.abs(x) < 1e-4
+        safe = np.where(small, 1.0, x)
+        t = np.where(small, x, 0.0)
+        both = np.where(small, 1.0 - t * t / 6.0 + t**4 / 120.0, np.sin(safe) / safe)
+        np.testing.assert_array_equal(sinc(x).view(np.int64), both.view(np.int64))
+
+
+@pytest.mark.parametrize("eps", [0.5, 1e-3, 3.0])
+@pytest.mark.parametrize("order", [1, 30, 100])
+def test_scaled_multiplier_bit_identical_to_full_product(order, eps):
+    spec = KernelSpec(order, eps, "scaled")
+    stages = eps / 2.0 ** np.arange(1, order + 1)
+    # k straddling each stage's exact-1 threshold 1e-8/a_n and Taylor cut 1e-4/a_n
+    edges = np.concatenate([1e-8 / stages, 1e-4 / stages])
+    near = np.concatenate([edges * (1 - 1e-12), edges, edges * (1 + 1e-12),
+                           np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    k = np.concatenate([near[(near >= 1) & (near < 1e15)], np.arange(1.0, 5000.0)])
+    k = np.random.default_rng(order).permutation(k)  # unsorted
+    want = _stage_product(k, spec)
+    np.testing.assert_array_equal(filter_multiplier(k, spec).view(np.int64), want.view(np.int64))
+    grid = k[:12].reshape(3, 4)
+    np.testing.assert_array_equal(filter_multiplier(grid, spec), want[:12].reshape(3, 4))
+    for scalar in (1, 7.0, float(k[0]), float(k[-1])):
+        got = filter_multiplier(scalar, spec)
+        assert isinstance(got, float)
+        assert got == float(_stage_product(np.float64(scalar), spec))
+
+
+@pytest.mark.parametrize("variant", ["naive", "fixed", "gaussian", "scaled"])
+def test_multiplier_rejects_non_finite_harmonics(variant):
+    spec = KernelSpec(3, 0.5, variant)
+    for bad in (np.inf, np.nan, [1.0, np.inf], [np.nan, 2.0]):
+        with pytest.raises(ValueError):
+            filter_multiplier(bad, spec)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(1, 0.0)
@@ -326,9 +375,22 @@ def test_tail_rule_bounds_the_computed_tail():
 
 
 def test_kernel_grid_closed_forms_are_kernel_eval():
+    # kernel_eval on theta_j for j <= M/2, and v[M-j] = v[j] for the rest
     for spec in (KernelSpec(1, 0.5, "naive"), KernelSpec(2, 0.5), KernelSpec(2, 0.4, "scaled")):
         for m in (1000, 1023):
-            assert np.array_equal(kernel_grid(spec, m), kernel_eval(spec, theta_grid(m)))
+            got = kernel_grid(spec, m)
+            half = kernel_eval(spec, theta_grid(m)[: m // 2 + 1])
+            assert np.array_equal(got[: m // 2 + 1], half)
+            assert np.array_equal(got[m // 2 + 1 :], half[1 : m - m // 2][::-1])
+
+
+@pytest.mark.parametrize("resolution", [1000, 1023, 1024])
+@pytest.mark.parametrize("variant", ["naive", "fixed", "gaussian", "scaled"])
+def test_kernel_grid_closed_forms_exactly_even(variant, resolution):
+    for order in (1, 2):
+        for eps in (0.3, 0.5, 1.0):
+            v = kernel_grid(KernelSpec(order, eps, variant), resolution)
+            assert np.array_equal(v[1:], v[1:][::-1]), (order, eps)
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from sincfilters import (
     save_signal,
     theta_grid,
 )
+from sincfilters.series import _write_rows
 
 # Brute partial sums at k_max = 1e5, frozen from a 30-digit mpmath run.
 TRIANGLE_AT_ZERO_1E5 = -0.99999594715265444
@@ -182,6 +183,55 @@ def test_signal_csv_roundtrip(tmp_path):
     assert b"\r" not in path.read_bytes()  # LF line ends
     back = load_signal(path)
     np.testing.assert_array_equal(back.values, sig.values)
+
+
+def _per_row_rows(path, header, xs, ys):
+    """The writer's reference: one f-string per row, every value at .17g."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{header[0]},{header[1]}\n")
+        fh.writelines(f"{x:.17g},{y:.17g}\n" for x, y in zip(xs, ys))
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, -1e-5, 2.0**53 + 2]
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097])
+def test_write_rows_matches_per_row_format(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    floats = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+    floats[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:rows]
+    k = np.arange(1, rows + 1, dtype=np.int64) * (2**20 // rows)
+    k[-1] = 2**20
+    cases = {
+        "k_float": (("k", "coefficient"), k, floats),
+        "float_float": (("theta", "value"), theta_grid(rows), floats),
+        "lists": (("theta", "value"), floats.tolist(), [float(v) for v in k]),
+        "int_list": (("k", "value"), k.tolist(), floats.tolist()),
+    }
+    for name, (header, xs, ys) in cases.items():
+        _write_rows(tmp_path / f"{name}.csv", header, xs, ys)
+        _per_row_rows(tmp_path / f"{name}_ref.csv", header, xs, ys)
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+    assert (tmp_path / "k_float.csv").read_text().splitlines()[-1].startswith("1048576,")
+
+
+def test_save_coefficients_matches_json_dump(tmp_path):
+    rng = np.random.default_rng(2)
+    values = np.concatenate([SPECIAL_FLOATS, rng.normal(size=5000) * 1e-200])
+    for parity in ("cosine", "sine"):
+        path = tmp_path / f"{parity}.json"
+        save_coefficients(HarmonicCoefficients(parity, values), path)
+        with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+            json.dump({"parity": parity, "coeffs": values.tolist()}, fh)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_load_signal_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(b"theta,value\r\n\r\n-3.141592653589793,1.5\r\n \t\r\n0,2.5\r\n  \r\n")
+    np.testing.assert_array_equal(load_signal(path).values, [1.5, 2.5])
 
 
 def test_oracle_series_agrees_with_eval():

@@ -12,8 +12,9 @@ variants differ in how the per-stage range scales with N:
     scaled    stages eps/2, eps/4,  total range eps*(1 - 2^-N)
 
 A variant is only its data: the half-widths a_1..a_N of its stages, the
-multiplier m_k = prod_n sinc(k a_n) on the k-th harmonic, and a rigorous
-tail rule (_cutoff).  The kernel of every variant is
+multiplier m_k = prod_n sinc(k a_n) on the k-th harmonic, and its envelope
+|m_k| <= prod_n min(1, 1/(k a_n)), whose integral is the one tail rule (_cutoff).
+The kernel of every variant is
 
     1/(2*pi) + (1/pi) * sum_k m_k cos(k dtheta),
 
@@ -112,7 +113,7 @@ class _Periodised(KernelSpec):
 
 
 def sinc(x):
-    """sin(x)/x with a Taylor fallback 1 - x^2/6 + x^4/120 for |x| < 1e-4."""
+    """sin(x)/x with a Taylor fallback 1 - x^2/6 for |x| < 1e-4 (x^4/120 is under half an ulp)."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("sinc argument must be finite")
@@ -126,7 +127,7 @@ def sinc(x):
 
 def _sinc_taylor(t: np.ndarray) -> np.ndarray:
     """sinc's branch for |t| < _SINC_TAYLOR_CUT."""
-    return 1.0 - t * t / 6.0 + t**4 / 120.0
+    return 1.0 - t * t / 6.0
 
 
 def stage_range(spec: KernelSpec) -> float:
@@ -286,63 +287,56 @@ def _two_box_kernel(d: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.clip(overlap, 0.0, None) / (4.0 * a * b)
 
 
-def _block_tail_cutoff(eps: float, steps: int, deriv: int, tol: float) -> float:
-    """Scaled tail cutoff from dyadic blocks of the coefficient envelope.
+def _envelope_cutoff(spec: KernelSpec, deriv: int, tol: float) -> float:
+    """Smallest K >= the (deriv+2)-th breakpoint with (1/pi) int_K^inf x^deriv e(x) dx <= tol.
 
-    In block n (2^n <= k*eps < 2^(n+1)) at most min(n, N) sinc factors are in
-    their decaying regime, so |m_k| <= 2^(m(m+1)/2 - n*m) with m = min(n, N).
-    Returns the smallest K = 2^n0/eps whose block-sum bound (with a k^deriv
-    weight) is below tol, or inf.
+    e(x) = prod_n min(1, 1/(x a_n)) bounds |m_k|, as |sinc(x)| <= min(1, 1/x).  Between
+    breakpoints 1/a_n the integrand is c x^-(p+1), p = (stages past their breakpoint) - deriv - 1,
+    so with p >= 1 on [K, inf) it decreases and its integral bounds the sum over k > K.  The
+    breakpoints are walked down from infinity in logs and the crossing segment is solved in
+    closed form.  Equal stages are one breakpoint of multiplicity N; scaled stages past the
+    60th are dropped, which only raises e.  inf when fewer than deriv + 2 stages exist.
     """
-    n_hi = min(steps, 60) + 80
-    n = np.arange(n_hi + 1)
-    m = np.minimum(n, steps)
-    log2_block = (
-        -math.log2(math.pi)
-        + np.log2(2.0**n / eps + 1.0)
-        + deriv * (n + 1 - math.log2(eps))
-        + (m * (m + 1) / 2.0 - n * m)
-    )
-    block = np.exp2(np.clip(log2_block, -1074, 1023))
-    suffix = np.cumsum(block[::-1])[::-1]
-    ok = np.nonzero(suffix <= tol)[0]
-    if ok.size == 0:
+    n = min(spec.order, 60) if spec.variant == "scaled" else spec.order
+    if n < deriv + 2:
         return math.inf
-    return math.ceil(2.0 ** ok[0] / eps)
+    if spec.variant == "scaled":
+        log_eps = math.log(spec.range_param)
+        groups = [(j * math.log(2.0) - log_eps, 1) for j in range(1, n + 1)]
+    else:
+        groups = [(-math.log(stage_range(spec)), n)]
+    log_c = sum(mult * log_b for log_b, mult in groups)  # c = prod of the active breakpoints
+    budget, frac, upper = math.pi * tol, 1.0, math.inf  # frac: share of budget left below upper
+    for log_b, mult in reversed(groups):
+        p = n - deriv - 1
+        # on [x, e^upper] the integral is budget * share (x^-p - e^(-p upper)), share = c/(p budget)
+        log_share = log_c - math.log(p * budget)
+        hi = math.exp(min(log_share - p * log_b, 700.0))
+        lo = math.exp(log_share - p * upper)
+        if hi - lo >= frac or n - mult < deriv + 2:
+            break
+        frac -= hi - lo
+        n, log_c, upper = n - mult, log_c - mult * log_b, log_b
+    log_x = max((log_share - math.log(frac + lo)) / p, log_b)
+    return math.ceil(math.exp(log_x)) if log_x < 709.0 else math.inf
 
 
 def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float = 1.0) -> int:
     """Smallest K with the rigorous tail bound (1/pi) sum_{k>K} |m_k| k^deriv r^k <= tol.
 
-    Both rules use |m_k| <= prod_n 1/(k a_n), valid once k >= 1/min(a_n), whose
-    weighted tail is at most K^(deriv+1-N) / ((N-1-deriv) prod_n a_n):
-    equal stages s apply it from K = ceil(1/s) + 1; scaled applies it from
-    K = 2^N/eps and also tries the dyadic block rule, keeping the smaller K.
-    At a radius ratio r < 1 (deriv 0 only) |m_k| <= 1 also gives the
-    geometric tail r^(K+1) / (pi (1 - r)), and the smallest K wins.
+    The one rule is the envelope integral of _envelope_cutoff.  At a radius
+    ratio r < 1 (deriv 0 only) |m_k| <= 1 also gives the geometric tail
+    r^(K+1) / (pi (1 - r)), and the smaller K wins.
     Raises NonConvergenceError when no rule reaches tol within k_max.
     """
-    n, eps = spec.order, spec.range_param
-    decay = n - 1 - deriv
-    k_need = math.inf
-    if spec.variant == "scaled":
-        k_need = _block_tail_cutoff(eps, n, deriv, tol)
-        if decay >= 1:
-            log2_k = n * (n + 1) / 2.0 - n * math.log2(eps) - math.log2(math.pi * tol * decay)
-            log2_k = max(log2_k / decay, n - math.log2(eps))
-            if log2_k <= 62:
-                k_need = min(k_need, math.ceil(2.0**log2_k))
-    elif decay >= 1:
-        s = stage_range(spec)
-        log_k = (-math.log(math.pi * tol * decay) - n * math.log(s)) / decay
-        k_need = max(math.ceil(math.exp(min(log_k, 700.0))), math.ceil(1.0 / s) + 1)
+    k_need = _envelope_cutoff(spec, deriv, tol)
     if radius < 1.0:
         k_geo = math.ceil(math.log(math.pi * tol * (1.0 - radius)) / math.log(radius))
         k_need = min(k_need, max(k_geo, 1))
     if k_need > k_max:
         where = f" at radius ratio {radius}" if radius < 1.0 else ""
         raise NonConvergenceError(
-            f"{spec.variant} kernel series (N={n}, derivative order {deriv}){where} needs "
+            f"{spec.variant} kernel series (N={spec.order}, derivative order {deriv}){where} needs "
             f"{k_need} harmonics to reach tail_tol={tol}; k_max={k_max}. "
             f"Loosen tail_tol or raise k_max."
         )

@@ -184,6 +184,17 @@ def test_complex_kernel_at_origin():
     assert val == pytest.approx(1 / (2 * np.pi) + 0j, abs=0)
 
 
+@pytest.mark.parametrize("variant", ["naive", "fixed", "gaussian", "scaled"])
+def test_complex_kernel_order_zero_is_the_geometric_sum(variant):
+    # m_k = 1: 1/(2 pi) + (1/pi) w (1 - w^K) / (1 - w), w = z/z1, K from the geometric rule
+    p, rho1, theta1 = DiskPoint(0.873, 0.2), 0.97, 0.1
+    w = (p.rho / rho1) * complex(math.cos(p.theta - theta1), math.sin(p.theta - theta1))
+    k = math.ceil(math.log(math.pi * 1e-12 * (1 - p.rho / rho1)) / math.log(p.rho / rho1))
+    want = 1 / (2 * math.pi) + w * (1 - w**k) / (1 - w) / math.pi
+    got = complex_kernel_eval(KernelSpec(0, 0.5, variant), p, rho1, theta1)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_complex_kernel_radius_ordering():
     with pytest.raises(ValueError):
         complex_kernel_eval(KernelSpec(2, 0.5), DiskPoint(0.9, 0.0), 0.8, 0.0)

@@ -357,7 +357,9 @@ def test_tail_rule_bounds_the_computed_tail():
         ("scaled", 3, 0.5, 0, 1e-4), ("scaled", 4, 0.5, 0, 1e-6), ("scaled", 10, 0.5, 0, 1e-9),
         ("scaled", 100, 0.5, 0, 1e-12), ("scaled", 4, 0.5, 1, 1e-3), ("scaled", 8, 0.5, 1, 1e-6),
         ("scaled", 100, 0.5, 1, 1e-9), ("scaled", 5, 0.5, 2, 1e-3), ("scaled", 10, 0.5, 2, 1e-6),
-        ("scaled", 100, 0.5, 2, 1e-9),
+        ("scaled", 100, 0.5, 2, 1e-9), ("scaled", 100, 0.5, 3, 1e-9), ("scaled", 100, 0.1, 0, 1e-6),
+        ("scaled", 100, 0.5, 1, 1e-12), ("scaled", 100, 3.0, 3, 1e-3), ("scaled", 12, 0.5, 3, 1e-6),
+        ("scaled", 7, 0.5, 3, 1e-3),
     ]
     radius_cases = [
         ("naive", 1, 0.5, 0, 1e-12, 0.9), ("fixed", 2, 0.5, 0, 1e-12, 0.999),
@@ -369,6 +371,132 @@ def test_tail_rule_bounds_the_computed_tail():
         k = np.arange(k_cut + 1, 4 * k_cut + 1, dtype=float)
         tail = np.sum(np.abs(filter_multiplier(k, spec)) * k**deriv * radius**k) / np.pi
         assert tail <= tol, (variant, order, deriv, radius, k_cut, tail / tol)
+
+
+# K of the tail rules the envelope rule replaced (a dyadic block rule for scaled,
+# power laws for every variant), recorded with them: (variant, N, eps, deriv, tol, K).
+RETIRED_RULE_K = [
+    ("naive", 2, 0.5, 0, 0.001, 1274),
+    ("naive", 3, 0.5, 0, 0.001, 36),
+    ("naive", 3, 1.0, 0, 1e-06, 399),
+    ("naive", 4, 0.6, 0, 1e-06, 94),
+    ("naive", 5, 0.3, 1, 1e-09, 3522),
+    ("naive", 8, 0.1, 2, 1e-12, 5765),
+    ("naive", 16, 0.1, 3, 1e-09, 90),
+    ("naive", 30, 0.1, 0, 1e-12, 25),
+    ("fixed", 3, 0.5, 0, 1e-12, 5863231),
+    ("fixed", 3, 0.5, 0, 1e-09, 185412),
+    ("fixed", 4, 0.5, 0, 1e-06, 758),
+    ("fixed", 6, 0.5, 0, 1e-09, 718),
+    ("fixed", 16, 0.5, 0, 1e-09, 125),
+    ("fixed", 6, 1.0, 1, 1e-06, 247),
+    ("fixed", 10, 0.5, 2, 1e-09, 897),
+    ("fixed", 30, 3.0, 3, 1e-12, 35),
+    ("fixed", 100, 0.5, 0, 1e-12, 264),
+    ("fixed", 500, 0.1, 3, 0.001, 5351),
+    ("fixed", 8192, 0.5, 0, 1e-09, 16425),
+    ("gaussian", 3, 0.5, 0, 0.001, 82),
+    ("gaussian", 6, 0.5, 0, 1e-06, 62),
+    ("gaussian", 16, 0.7, 0, 1e-09, 20),
+    ("gaussian", 5, 1.0, 1, 1e-06, 182),
+    ("gaussian", 8, 0.5, 2, 1e-09, 582),
+    ("gaussian", 10, 0.5, 3, 1e-12, 1326),
+    ("gaussian", 100, 0.3, 0, 1e-12, 44),
+    ("gaussian", 30, 0.1, 1, 0.001, 80),
+    ("scaled", 2, 0.5, 0, 0.001, 10186),
+    ("scaled", 3, 0.5, 0, 0.0001, 903),
+    ("scaled", 3, 0.5, 0, 1e-09, 285460),
+    ("scaled", 4, 0.5, 0, 1e-06, 1203),
+    ("scaled", 5, 0.5, 0, 1e-09, 3023),
+    ("scaled", 8, 0.5, 0, 1e-09, 969),
+    ("scaled", 9, 0.5, 0, 1e-09, 1024),
+    ("scaled", 10, 0.5, 0, 1e-09, 2048),
+    ("scaled", 30, 1.0, 0, 1e-12, 2048),
+    ("scaled", 60, 3.0, 0, 1e-12, 683),
+    ("scaled", 100, 0.5, 0, 1e-12, 4096),
+    ("scaled", 100, 0.1, 0, 1e-06, 5120),
+    ("scaled", 4, 0.5, 1, 0.001, 1615),
+    ("scaled", 8, 0.5, 1, 1e-06, 989),
+    ("scaled", 100, 0.5, 1, 1e-09, 4096),
+    ("scaled", 61, 1.0, 1, 1e-12, 4096),
+    ("scaled", 5, 0.5, 2, 0.001, 12919),
+    ("scaled", 10, 0.5, 2, 1e-06, 2889),
+    ("scaled", 100, 0.5, 2, 1e-09, 16384),
+    ("scaled", 100, 0.5, 2, 1e-12, 32768),
+    ("scaled", 6, 0.5, 3, 0.001, 146156),
+    ("scaled", 12, 0.5, 3, 1e-06, 9153),
+    ("scaled", 100, 0.5, 3, 1e-09, 65536),
+    ("scaled", 500, 3.0, 3, 0.001, 683),
+]
+
+
+@pytest.mark.parametrize("variant, order, eps, deriv, tol, k_old", RETIRED_RULE_K)
+def test_envelope_rule_never_needs_more_harmonics(variant, order, eps, deriv, tol, k_old):
+    from sincfilters.filters import _cutoff
+
+    k_new = _cutoff(KernelSpec(order, eps, variant), deriv, tol, 2**40)
+    if variant == "scaled":
+        assert k_new <= k_old
+    else:  # one breakpoint of multiplicity N: the envelope integral is the old power law
+        assert k_new == k_old
+
+
+def _envelope_tail(spec, deriv, x):
+    """(1/pi) int_x^inf t^deriv prod_n min(1, 1/(t a_n)) dt, segment by segment in 40 digits.
+
+    Scaled stages past the 60th are left out, as the rule leaves them out.
+    """
+    from sincfilters.filters import stage_range
+
+    with mp.workdps(40):
+        if spec.variant == "scaled":
+            stages = [mp.mpf(spec.range_param) / 2**n for n in range(1, min(spec.order, 60) + 1)]
+        else:
+            stages = [mp.mpf(stage_range(spec))] * spec.order
+        lo = mp.mpf(x)
+        total = mp.mpf(0)
+        for hi in sorted({1 / a for a in stages if 1 / a > lo}) + [mp.inf]:
+            active = [a for a in stages if 1 / a <= lo]  # the integrand is t^deriv / prod (t a)
+            q = deriv + 1 - len(active)
+            total += (hi**q - lo**q) / (q * mp.fprod(active))
+            lo = hi
+        return total / mp.pi
+
+
+@pytest.mark.parametrize(
+    "variant, order, eps, deriv, tol",
+    [("naive", 3, 0.5, 0, 1e-3), ("fixed", 3, 0.5, 0, 1e-12), ("fixed", 40, 2.0, 2, 1e-6),
+     ("gaussian", 9, 0.8, 1, 1e-9), ("scaled", 3, 0.5, 0, 1e-9), ("scaled", 6, 0.5, 3, 1e-3),
+     ("scaled", 10, 0.5, 0, 1e-9), ("scaled", 61, 1.0, 1, 1e-12), ("scaled", 100, 0.5, 0, 1e-12),
+     ("scaled", 100, 0.5, 2, 1e-9), ("scaled", 100, 0.5, 3, 1e-9), ("scaled", 100, 1e-3, 0, 1e-6),
+     ("scaled", 10, 0.5, 0, 10.0), ("fixed", 5, 0.5, 1, 1e3)],
+)
+def test_envelope_rule_is_the_smallest_k(variant, order, eps, deriv, tol):
+    # K reaches tol and K - 1 does not, unless K is the (deriv+2)-th breakpoint (the last two cases)
+    from sincfilters.filters import _envelope_cutoff, _stages
+
+    spec = KernelSpec(order, eps, variant)
+    k = _envelope_cutoff(spec, deriv, tol)
+    floor = sorted(1.0 / a for a in _stages(spec))[deriv + 1]
+    assert k >= floor and _envelope_tail(spec, deriv, k) <= tol
+    assert k - 1 < floor or _envelope_tail(spec, deriv, k - 1) > tol
+    assert (k == math.ceil(floor)) == (tol > 1.0)
+
+
+@pytest.mark.parametrize("variant", ["naive", "fixed", "gaussian", "scaled"])
+def test_stageless_specs_take_the_geometric_rule(variant):
+    # N = 0 and 1 have fewer than deriv + 2 stages: no envelope K, so r < 1 needs the geometric K
+    from sincfilters.filters import _cutoff, _envelope_cutoff
+
+    for order in (0, 1):
+        spec = KernelSpec(order, 0.5, variant)
+        for deriv in range(4):
+            assert _envelope_cutoff(spec, deriv, 1e-9) == math.inf
+        for tol, r in ((1e-12, 0.9), (1e-9, 0.999), (1e-3, 0.5)):
+            want = math.ceil(math.log(math.pi * tol * (1 - r)) / math.log(r))
+            assert _cutoff(spec, 0, tol, 2**20, r) == want
+        with pytest.raises(NonConvergenceError):
+            _cutoff(spec, 0, 1e-9, 2**20)
 
 
 # ---------------------------------------------------------------- kernels on the grid
@@ -397,7 +525,7 @@ def test_kernel_grid_closed_forms_exactly_even(variant, resolution):
     "spec, tol, resolution",
     [
         (KernelSpec(6, 0.5, "fixed"), 1e-9, 1024),  # K = 718 < M
-        (KernelSpec(100, 0.5, "scaled"), 1e-12, 8192),  # K = 4096 < M
+        (KernelSpec(100, 0.5, "scaled"), 1e-12, 8192),  # K = 2219 < M
         (KernelSpec(8192, 0.5, "fixed"), 1e-9, 1024),  # K = 16425 > M
         (KernelSpec(3, 0.5, "scaled"), 1e-9, 1024),  # K = 285460 >> M
     ],

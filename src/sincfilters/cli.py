@@ -66,8 +66,7 @@ def _options(ns: argparse.Namespace) -> EvalOptions:
 
 
 def _cmd_kernel(ns: argparse.Namespace) -> int:
-    variant = "scaled" if ns.command == "scaled-kernel" else ns.variant
-    values = kernel_grid(KernelSpec(ns.order, ns.eps, variant), ns.points, _options(ns))
+    values = kernel_grid(KernelSpec(ns.order, ns.eps, ns.variant), ns.points, _options(ns))
     _write_rows(ns.out, ("theta", "value"), theta_grid(ns.points), values)
     return 0
 
@@ -94,8 +93,6 @@ def _cmd_waveform(ns: argparse.Namespace) -> int:
 
 
 def _cmd_filter(ns: argparse.Namespace) -> int:
-    if not ns.infile:
-        raise _UsageError("filter requires --in with a coefficient JSON file")
     coeffs = load_coefficients(ns.infile)
     filtered = apply_filter_coeffs(coeffs, KernelSpec(ns.order, ns.eps, ns.variant))
     if ns.out.endswith(".json"):
@@ -173,49 +170,52 @@ def _cmd_selfcheck(ns: argparse.Namespace) -> int:
     return 0 if failed == 0 else 2
 
 
+# Each flag once, as option -> argparse keywords; a command declares only the flags it reads.
+_FLAGS = {
+    "--eps": dict(type=float, default=0.5, help="range parameter in radians"),
+    "--N": dict(dest="order", type=int, default=100, help="filter order / construction steps"),
+    "--variant": dict(choices=VARIANTS, default="fixed"),
+    "--kind": dict(choices=WAVEFORMS, default="square"),
+    "--order": dict(dest="deriv_order", type=int, default=1, help="derivative order"),
+    "--points": dict(type=int, default=1024, help="output grid resolution"),
+    "--kmax": dict(dest="k_max", type=int, default=2**20),
+    "--tol": dict(dest="tail_tol", type=float, default=1e-12, help="absolute series tail bound"),
+    "--in": dict(dest="infile", required=True, help="input coefficient JSON"),
+    "--out": dict(required=True, help="output file (or directory for sweep)"),
+}
+
+_GRID = ("--points", "--kmax", "--tol", "--out")
+
+# name: (handler, help, the flags the handler reads, parser defaults overriding _FLAGS')
 _COMMANDS = {
-    "kernel": _cmd_kernel,
-    "scaled-kernel": _cmd_kernel,
-    "derivative": _cmd_derivative,
-    "filter": _cmd_filter,
-    "waveform": _cmd_waveform,
-    "invariants": _cmd_invariants,
-    "sweep": _cmd_sweep,
-    "selfcheck": _cmd_selfcheck,
+    "kernel": (_cmd_kernel, "order-N kernel over one period as theta,value CSV",
+               ("--eps", "--N", "--variant", *_GRID), {"order": 1}),
+    "scaled-kernel": (_cmd_kernel, "scaled kernel over one period as theta,value CSV",
+                      ("--eps", "--N", *_GRID), {"variant": "scaled"}),
+    "derivative": (_cmd_derivative, "term-wise scaled-kernel derivative as theta,value CSV",
+                   ("--eps", "--N", "--order", *_GRID), {}),
+    "filter": (_cmd_filter, "apply a filter to a coefficient JSON file",
+               ("--eps", "--N", "--variant", "--in", "--out"), {"order": 1}),
+    "waveform": (_cmd_waveform, "scaled-filtered square/sawtooth/triangle wave as CSV",
+                 ("--eps", "--N", "--kind", *_GRID), {}),
+    "invariants": (_cmd_invariants, "the five invariant points of the scaled kernel as CSV",
+                   ("--eps", "--out"), {}),
+    # N=3 in the scaled sweep cannot reach 1e-12 within any practical k_max;
+    # 1e-9 is far below plotting resolution.
+    "sweep": (_cmd_sweep, "one kernel CSV per N in the figure lists",
+              ("--eps", "--variant", *_GRID), {"tail_tol": 1e-9}),
+    "selfcheck": (_cmd_selfcheck, "run the built-in oracle-agreement checks", (), {}),
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sincfilters", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, **flags) -> None:
+    for name, (_, help_text, flags, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--eps", type=float, default=0.5, help="range parameter in radians")
-        p.add_argument("--N", dest="order", type=int, default=flags.get("default_order", 100),
-                       help="filter order / construction steps")
-        p.add_argument("--variant", choices=VARIANTS, default="fixed")
-        p.add_argument("--kind", choices=WAVEFORMS, default="square")
-        p.add_argument("--points", type=int, default=1024, help="output grid resolution")
-        p.add_argument("--kmax", dest="k_max", type=int, default=2**20)
-        p.add_argument("--tol", dest="tail_tol", type=float,
-                       default=flags.get("default_tol", 1e-12),
-                       help="absolute series tail bound")
-        p.add_argument("--order", dest="deriv_order", type=int, default=1,
-                       help="derivative order (derivative command)")
-        p.add_argument("--in", dest="infile", default=None, help="input coefficient JSON")
-        p.add_argument("--out", default=None, help="output file (or directory for sweep)")
-
-    add("kernel", "order-N kernel over one period as theta,value CSV", default_order=1)
-    add("scaled-kernel", "scaled kernel over one period as theta,value CSV")
-    add("derivative", "term-wise scaled-kernel derivative as theta,value CSV")
-    add("filter", "apply a filter to a coefficient JSON file", default_order=1)
-    add("waveform", "scaled-filtered square/sawtooth/triangle wave as CSV")
-    add("invariants", "the five invariant points of the scaled kernel as CSV")
-    # N=3 in the scaled sweep cannot reach 1e-12 within any practical k_max;
-    # 1e-9 is far below plotting resolution.
-    add("sweep", "one kernel CSV per N in the figure lists", default_tol=1e-9)
-    add("selfcheck", "run the built-in oracle-agreement checks")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
 
 
@@ -223,9 +223,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        if ns.command != "selfcheck" and not ns.out:
-            raise _UsageError(f"{ns.command} requires --out")
-        return _COMMANDS[ns.command](ns)
+        return _COMMANDS[ns.command][0](ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

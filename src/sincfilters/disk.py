@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import KernelSpec, _kernel_series, sinc
+from .filters import KernelSpec, _kernel_series, filter_multiplier
 from .series import DEFAULT_OPTIONS, EvalOptions, _chunk_sums
 
 __all__ = [
@@ -115,14 +115,9 @@ def log_primitive(w: InnerAnalytic) -> InnerAnalytic:
 
 
 def complex_filter_coeffs(w: InnerAnalytic, eps: float) -> InnerAnalytic:
-    """First-order filtered coefficients a_k -> sinc(k eps) a_k."""
-    eps = float(eps)
-    if not (0.0 < eps <= np.pi):
-        raise ValueError("eps must lie in (0, pi]")
-    if len(w) == 0:
-        return w
+    """First-order filtered coefficients a_k -> sinc(k eps) a_k, eps in (0, pi]."""
     k = np.arange(1, len(w) + 1, dtype=float)
-    return InnerAnalytic(w.coeffs * sinc(k * eps))
+    return InnerAnalytic(w.coeffs * filter_multiplier(k, KernelSpec(1, eps, "naive")))
 
 
 def complex_filter_eval(

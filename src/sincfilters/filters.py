@@ -11,9 +11,10 @@ variants differ in how the per-stage range scales with N:
     gaussian  stage eps/sqrt(N),    total range sqrt(N)*eps
     scaled    stages eps/2, eps/4,  total range eps*(1 - 2^-N)
 
-A variant is only its data: the half-widths a_1..a_N of its stages, the
-multiplier m_k = prod_n sinc(k a_n) on the k-th harmonic, and its envelope
-|m_k| <= prod_n min(1, 1/(k a_n)), whose integral is the one tail rule (_cutoff).
+A variant is only its data, the stage table (_stage_groups) of half-widths
+a_1..a_N, read by the multiplier m_k = prod_n sinc(k a_n) on the k-th harmonic
+and by its envelope |m_k| <= prod_n min(1, 1/(k a_n)), whose integral is the
+one tail rule (_cutoff) over the first 60 groups with nonzero width.
 The kernel of every variant is
 
     1/(2*pi) + (1/pi) * sum_k m_k cos(k dtheta),
@@ -26,6 +27,7 @@ moderate N.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,25 +132,28 @@ def _sinc_taylor(t: np.ndarray) -> np.ndarray:
     return 1.0 - t * t / 6.0
 
 
+def _stage_groups(spec: KernelSpec):
+    """The variant's stage table: groups (half-width a, multiplicity), widest first.
+
+    Scaled stages eps/2^j come one at a time and lazily, so a consumer pays only
+    for the stages it reads; ldexp never overflows (a = 0 past the subnormals).
+    """
+    eps, n = spec.range_param, spec.order
+    if spec.variant == "scaled":
+        for j in range(1, n + 1):
+            yield math.ldexp(eps, -j), 1
+    elif n:
+        yield {"naive": eps, "fixed": eps / n, "gaussian": eps / math.sqrt(n)}[spec.variant], n
+
+
 def stage_range(spec: KernelSpec) -> float:
-    """Range of each first-order pass making up the order-N filter."""
-    if spec.order == 0:
-        return 0.0
-    if spec.variant == "naive":
-        return spec.range_param
-    if spec.variant == "fixed":
-        return spec.range_param / spec.order
-    if spec.variant == "gaussian":
-        return spec.range_param / math.sqrt(spec.order)
-    # scaled: the stages differ; the widest is eps/2
-    return spec.range_param / 2.0
+    """Range of each first-order pass making up the order-N filter (scaled: the widest, eps/2)."""
+    return next(_stage_groups(spec), (0.0, 0))[0]
 
 
 def _stages(spec: KernelSpec) -> list[float]:
     """Half-widths a_1..a_N of the first-order passes composing the filter."""
-    if spec.variant == "scaled":
-        return [spec.range_param / 2.0**n for n in range(1, spec.order + 1)]
-    return [stage_range(spec)] * spec.order
+    return [a for a, mult in _stage_groups(spec) for _ in range(mult)]
 
 
 def total_range(spec: KernelSpec) -> float:
@@ -165,39 +170,38 @@ def total_range(spec: KernelSpec) -> float:
 
 
 def filter_multiplier(k, spec: KernelSpec):
-    """Eigenvalue of the order-N filter on the k-th harmonic.
+    """Eigenvalue prod_n sinc(k a_n) of the order-N filter on the k-th harmonic.
 
-    naive: sinc(k eps)^N; fixed: sinc(k eps/N)^N; gaussian: sinc(k eps/sqrt N)^N;
-    scaled: prod_{n=1..N} sinc(k eps / 2^n) as a running product in stage order.
-    With k ascending, each stage's arguments k a_n ascend too, so sinc's
-    Taylor and sin(x)/x branches are two slices; the factors below them
-    (k a_n < _NEGLIGIBLE_ARG) are exactly 1.0 and are skipped, and as the
-    stages shrink the product stops at the first stage with none left.
-    N = 0 is the identity (1).
+    A group (a, m) of the stage table contributes sinc(k a)^m.  With k ascending,
+    each group's arguments k a ascend too, so sinc's Taylor and sin(x)/x branches
+    are two slices; the factors below them (k a < _NEGLIGIBLE_ARG) are exactly
+    1.0 and are skipped, and as the widths shrink the product stops at the first
+    group with none left.  N = 0 is the identity (1).  A scalar k gives the bits
+    of the one-element array.
     """
     karr = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(karr)):
         raise ValueError("harmonic index k must be finite")
     if np.any(karr < 1):
         raise ValueError("harmonic index k must be >= 1")
-    if spec.variant != "scaled":
-        out = sinc(karr * stage_range(spec)) ** spec.order
-        return float(out) if karr.ndim == 0 else out
     flat = karr.ravel()
     order = None if np.all(flat[1:] >= flat[:-1]) else np.argsort(flat)
     if order is not None:
         flat = flat[order]
     out = np.ones_like(flat)
     lo = 0  # flat[:lo] has no factor left that differs from 1.0
-    for a in _stages(spec):
+    for a, mult in _stage_groups(spec):
         arg = flat[lo:] * a
         if arg.size and not np.isfinite(arg[-1]):
             raise ValueError("sinc argument must be finite")
         skip, cut = np.searchsorted(arg, (_NEGLIGIBLE_ARG, _SINC_TAYLOR_CUT))
         if skip == arg.size:
             break
-        out[lo + skip : lo + cut] *= _sinc_taylor(arg[skip:cut])
-        out[lo + cut :] *= np.sin(arg[cut:]) / arg[cut:]
+        taylor, exact = _sinc_taylor(arg[skip:cut]), np.sin(arg[cut:]) / arg[cut:]
+        if mult > 1:  # a power of 1 would only cost a pass over the array
+            taylor, exact = taylor**mult, exact**mult
+        out[lo + skip : lo + cut] *= taylor
+        out[lo + cut :] *= exact
         lo += skip
     if order is not None:
         out[order] = out.copy()  # back to the caller's order of k
@@ -293,18 +297,15 @@ def _envelope_cutoff(spec: KernelSpec, deriv: int, tol: float) -> float:
     e(x) = prod_n min(1, 1/(x a_n)) bounds |m_k|, as |sinc(x)| <= min(1, 1/x).  Between
     breakpoints 1/a_n the integrand is c x^-(p+1), p = (stages past their breakpoint) - deriv - 1,
     so with p >= 1 on [K, inf) it decreases and its integral bounds the sum over k > K.  The
-    breakpoints are walked down from infinity in logs and the crossing segment is solved in
-    closed form.  Equal stages are one breakpoint of multiplicity N; scaled stages past the
-    60th are dropped, which only raises e.  inf when fewer than deriv + 2 stages exist.
+    breakpoints are the stage table's first 60 groups with a > 0 (dropping a stage, or a zero
+    width's identity factor, only raises e), walked down from infinity in logs, and the crossing
+    segment is solved in closed form.  inf when fewer than deriv + 2 stages are left.
     """
-    n = min(spec.order, 60) if spec.variant == "scaled" else spec.order
+    table = itertools.islice(_stage_groups(spec), 60)
+    groups = [(-math.log(a), mult) for a, mult in table if a > 0]
+    n = sum(mult for _, mult in groups)
     if n < deriv + 2:
         return math.inf
-    if spec.variant == "scaled":
-        log_eps = math.log(spec.range_param)
-        groups = [(j * math.log(2.0) - log_eps, 1) for j in range(1, n + 1)]
-    else:
-        groups = [(-math.log(stage_range(spec)), n)]
     log_c = sum(mult * log_b for log_b, mult in groups)  # c = prod of the active breakpoints
     budget, frac, upper = math.pi * tol, 1.0, math.inf  # frac: share of budget left below upper
     for log_b, mult in reversed(groups):
@@ -331,8 +332,13 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float 
     """
     k_need = _envelope_cutoff(spec, deriv, tol)
     if radius < 1.0:
-        k_geo = math.ceil(math.log(math.pi * tol * (1.0 - radius)) / math.log(radius))
-        k_need = min(k_need, max(k_geo, 1))
+        # r^(K+1) <= budget; an inf budget gives K = 1, an underflowed one is taken in logs
+        budget = math.pi * tol * (1.0 - radius)
+        if budget > 0.0:
+            log_budget = math.log(budget)
+        else:
+            log_budget = math.log(math.pi) + math.log(tol) + math.log1p(-radius)
+        k_need = min(k_need, math.ceil(max(log_budget / math.log(radius), 1.0)))
     if k_need > k_max:
         where = f" at radius ratio {radius}" if radius < 1.0 else ""
         raise NonConvergenceError(

@@ -1,5 +1,7 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,3 +162,52 @@ def test_sweep_periodised_matches_direct_series(tmp_path):
         _, data = read_csv(out_dir / f"kernel_naive_N{n}.csv")
         direct = _series_kernel(_Periodised(n, 0.5, "naive"), grid, EvalOptions(tail_tol=1e-9))
         assert np.abs(data[:, 1] - direct).max() <= 1e-12
+
+
+def test_exit_codes_at_extreme_stage_widths(tmp_path, capsys):
+    # eps/3 rounds to 0: an identity stage with no breakpoint, so no K reaches tol
+    out = str(tmp_path / "z.csv")
+    assert main(["kernel", "--N", "3", "--eps", "5e-324", "--points", "64", "--out", out]) == 2
+    assert "non-convergence" in capsys.readouterr().err
+    # scaled widths eps/2^n once overflowed at n = 1024; past the 60th stage no byte changes
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["scaled-kernel", "--N", "1100", "--points", "128", "--out", str(a)]) == 0
+    assert main(["scaled-kernel", "--N", "100", "--points", "128", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+# a valid value for every flag, and the flags each command's handler reads
+FLAG_VALUES = {"--eps": "0.5", "--N": "4", "--variant": "fixed", "--kind": "square",
+               "--order": "2", "--points": "64", "--kmax": "1024", "--tol": "1e-9",
+               "--in": "coeffs.json", "--out": "x.csv"}
+READS = {
+    "kernel": "--eps --N --variant --points --kmax --tol --out",
+    "scaled-kernel": "--eps --N --points --kmax --tol --out",
+    "derivative": "--eps --N --order --points --kmax --tol --out",
+    "filter": "--eps --N --variant --in --out",
+    "waveform": "--eps --N --kind --points --kmax --tol --out",
+    "invariants": "--eps --out",
+    "sweep": "--eps --variant --points --kmax --tol --out",
+    "selfcheck": "",
+}
+UNREAD = [(c, f) for c, reads in READS.items() for f in FLAG_VALUES if f not in reads.split()]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_flag_a_command_does_not_read_is_a_usage_error(command, flag, tmp_path, capsys):
+    argv = [command]
+    for f in [f for f in ("--in", "--out") if f in READS[command].split()] + [flag]:
+        argv += [f, str(tmp_path / FLAG_VALUES[f]) if f in ("--in", "--out") else FLAG_VALUES[f]]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("sincfilters ")]
+    assert len(lines) == len(READS)
+    (tmp_path / "coeffs.json").write_text('{"parity": "cosine", "coeffs": [1.0, 0.5, 0.25]}')
+    monkeypatch.chdir(tmp_path)  # every --out and --in path is relative
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)

@@ -100,6 +100,18 @@ def test_complex_filter_coeffs_examples():
     assert out.coeffs[0] == pytest.approx(SINC_HALF, abs=1e-15)
 
 
+def test_complex_filter_coeffs_bit_identical_to_sinc():
+    # the naive N = 1 multiplier skips factors below 1e-8, which sinc rounds to 1.0 anyway
+    a = np.random.default_rng(5).standard_normal(3000)
+    k = np.arange(1, a.size + 1, dtype=float)
+    for eps in (1e-12, 1e-9, 3e-8, 1e-5, 0.5, np.pi):
+        got = complex_filter_coeffs(InnerAnalytic(a), eps).coeffs
+        np.testing.assert_array_equal(got.view(np.int64), (a * sinc(k * eps)).view(np.int64))
+    assert len(complex_filter_coeffs(InnerAnalytic([]), 0.5)) == 0
+    with pytest.raises(ValueError):
+        complex_filter_coeffs(InnerAnalytic([1.0]), 4.0)
+
+
 def test_complex_filter_eval_closed_forms():
     w = InnerAnalytic([1.0])  # w(z) = z
     p = DiskPoint(0.7, 0.9)
@@ -218,6 +230,17 @@ def test_complex_kernel_nonconvergence_names_radius_ratio():
     opts = EvalOptions(k_max=1000)
     with pytest.raises(NonConvergenceError, match="radius ratio"):
         complex_kernel_eval(KernelSpec(1, 0.5, "naive"), DiskPoint(0.999, 0.0), 1.0, 0.0, opts)
+
+
+def test_complex_kernel_at_tolerances_beyond_the_float_range():
+    # pi tol (1 - r) overflows at tol 1e308 (K = 1) and underflows at 5e-324 (typed error)
+    spec, p = KernelSpec(4, 0.5), DiskPoint(0.5, 0.1)
+    got = complex_kernel_eval(spec, p, 1.0, 0.0, EvalOptions(tail_tol=1e308))
+    want = 1 / (2 * np.pi) + filter_multiplier(1, spec) * 0.5 * np.exp(0.1j) / np.pi
+    assert got == pytest.approx(want, rel=1e-15)
+    with pytest.raises(NonConvergenceError):
+        complex_kernel_eval(spec, DiskPoint(0.999999999, 0.1), 1.0, 0.0,
+                            EvalOptions(tail_tol=5e-324))
 
 
 def test_complex_kernel_approaches_real_kernel():

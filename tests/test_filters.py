@@ -122,6 +122,69 @@ def test_scaled_multiplier_bit_identical_to_full_product(order, eps):
         assert got == float(_stage_product(np.float64(scalar), spec))
 
 
+@pytest.mark.parametrize(
+    "variant, order",
+    [("naive", 1), ("naive", 2), ("naive", 6), ("fixed", 3), ("fixed", 16), ("fixed", 8192),
+     ("gaussian", 5), ("gaussian", 39)],
+)
+def test_equal_stage_multiplier_bit_identical_to_sinc_power(variant, order):
+    # the reference is the equal-stage form sinc(k a)^N with every factor evaluated
+    from sincfilters.filters import stage_range
+
+    spec = KernelSpec(order, 0.5, variant)
+    a = stage_range(spec)
+    edges = np.array([1e-8, 1e-4]) / a  # the exact-1 threshold and the Taylor cut
+    near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    k = np.sort(np.concatenate([near[near >= 1], np.arange(1.0, 5000.0)]))
+    unsorted = np.random.default_rng(order).permutation(k)
+    for ks in (k, unsorted, unsorted[:12].reshape(3, 4), k[:12].reshape(4, 3)):
+        want = sinc(ks * a) ** order
+        np.testing.assert_array_equal(filter_multiplier(ks, spec).view(np.int64),
+                                      want.view(np.int64))
+
+
+@pytest.mark.parametrize("variant", ["naive", "fixed", "gaussian", "scaled"])
+def test_scalar_multiplier_is_the_array_element(variant):
+    # Python's float pow and numpy's may differ by an ulp (naive N=16 at k=3 did)
+    for order in (0, 1, 2, 3, 16):
+        spec = KernelSpec(order, 0.1, variant)
+        for k in (1, 3.0, 17.5, 1234.0, 1e6):
+            got = filter_multiplier(k, spec)
+            assert isinstance(got, float)
+            assert got == filter_multiplier(np.array([k]), spec)[0], (order, k)
+
+
+@pytest.mark.parametrize("order", [1100, 10**5])
+def test_scaled_orders_past_sixty_stages_give_the_n100_kernel(order):
+    # stages past the 60th leave the tail rule, and here every multiplier bit, unchanged
+    want = kernel_grid(KernelSpec(100, 0.5, "scaled"), 256)
+    np.testing.assert_array_equal(kernel_grid(KernelSpec(order, 0.5, "scaled"), 256), want)
+
+
+def test_zero_width_stages_leave_the_tail_rule():
+    # eps/3 and eps/2^j past the subnormals round to 0: identity factors, no breakpoint
+    from sincfilters.filters import _cutoff
+
+    for spec in (KernelSpec(3, 5e-324), KernelSpec(100, 1e-310, "scaled")):
+        assert np.all(filter_multiplier(np.arange(1.0, 9.0), spec) == 1.0)
+        with pytest.raises(NonConvergenceError):
+            _cutoff(spec, 0, 1e-12, 2**20)
+
+
+def test_geometric_rule_beyond_the_float_range():
+    # pi tol (1 - r) overflows: every K reaches tol; it underflows: the same bound in logs
+    from sincfilters.filters import _cutoff
+
+    spec = KernelSpec(4, 0.5)
+    assert _cutoff(spec, 0, 1e308, 2**20, 0.5) == 1
+    r = 0.999999999
+    with mp.workdps(40):
+        want = mp.log(mp.pi * mp.mpf(5e-324) * (1 - mp.mpf(r))) / mp.log(mp.mpf(r))
+    assert abs(_cutoff(spec, 0, 5e-324, 2**40, r) - int(mp.ceil(want))) <= 1
+    with pytest.raises(NonConvergenceError, match="radius ratio"):
+        _cutoff(spec, 0, 5e-324, 2**20, r)
+
+
 @pytest.mark.parametrize("variant", ["naive", "fixed", "gaussian", "scaled"])
 def test_multiplier_rejects_non_finite_harmonics(variant):
     spec = KernelSpec(3, 0.5, variant)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import KernelSpec, _kernel_series, filter_multiplier
-from .series import DEFAULT_OPTIONS, EvalOptions, _chunk_sums
+from .series import DEFAULT_OPTIONS, EvalOptions, _chunk_sums, _phases
 
 __all__ = [
     "InnerAnalytic",
@@ -70,16 +70,19 @@ class DiskPoint:
             raise ValueError("rho must be non-negative")
 
 
+def _powers(log_z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The points-by-k matrix z^k = exp(k log z)."""
+    x = _phases(log_z, k)
+    return np.exp(x, out=x)
+
+
 def _taylor_sum(coeffs: np.ndarray, z: np.ndarray, k_max: int) -> np.ndarray:
     """sum_k a_k z^k, k <= k_max, at an array of complex points, as exp(k log z) with 0^k = 0."""
     zero = z == 0
     log_z = np.log(np.where(zero, 1.0, z))
     # complex weights: numpy multiplies complex by real matrices ~100x slower, without BLAS
     weights = coeffs[:k_max].astype(complex)
-    terms = sum(
-        _chunk_sums(weights, log_z, lambda lz, k: np.exp(np.multiply.outer(lz, k))),
-        np.zeros(z.shape, dtype=complex),
-    )
+    terms = sum(_chunk_sums(weights, log_z, _powers), np.zeros(z.shape, dtype=complex))
     return np.where(zero, 0.0, terms)
 
 

@@ -23,12 +23,22 @@ in closed form for N = 1 (a box) and N = 2 (two boxes convolved).  For
 scaled, m_k is the running product over the stages, never the algebraically
 equal 2^(N(N+1)/2)/(k eps)^N prefactor form, which overflows already for
 moderate N.
+
+m_k depends only on the spec and k, so the kernel series (kernel_eval,
+kernel_grid, scaled_kernel_derivative, disk.complex_kernel_eval) and
+kernel_integral read m_1..m_K from a per-process table (_multipliers) of at
+most 2 MiB, a quarter of it per spec, least recently used spec out first,
+with the bits of a fresh filter_multiplier call; the tail rule is memoised
+too.  Filtering a user's coefficients (apply_filter_coeffs) computes its
+multipliers afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +76,13 @@ _SINC_TAYLOR_CUT = 1e-4
 
 # A factor sinc(x) with 0 <= x < this rounds to exactly 1.0 (x^2/6 < 2^-54) and is skipped.
 _NEGLIGIBLE_ARG = 1e-8
+
+# _multipliers keeps m_1..m_K per spec, least recently used first, in at most this many bytes.
+# m_k grows in blocks of _GROW_BLOCK harmonics, so its temporaries stay small.
+_CACHE_BYTES = 2**21
+_MULTIPLIERS: OrderedDict[KernelSpec, np.ndarray] = OrderedDict()
+_NO_MULTIPLIERS = np.empty(0)
+_GROW_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -197,15 +214,45 @@ def filter_multiplier(k, spec: KernelSpec):
         skip, cut = np.searchsorted(arg, (_NEGLIGIBLE_ARG, _SINC_TAYLOR_CUT))
         if skip == arg.size:
             break
-        taylor, exact = _sinc_taylor(arg[skip:cut]), np.sin(arg[cut:]) / arg[cut:]
+        taylor, exact = _sinc_taylor(arg[skip:cut]), np.sin(arg[cut:])
+        exact /= arg[cut:]
         if mult > 1:  # a power of 1 would only cost a pass over the array
-            taylor, exact = taylor**mult, exact**mult
+            taylor **= mult
+            np.power(exact, mult, out=exact)
         out[lo + skip : lo + cut] *= taylor
         out[lo + cut :] *= exact
         lo += skip
     if order is not None:
         out[order] = out.copy()  # back to the caller's order of k
     return float(out[0]) if karr.ndim == 0 else out.reshape(karr.shape)
+
+
+def _multipliers(spec: KernelSpec, K: int) -> np.ndarray:
+    """m_1..m_K as a read-only array, from the per-process table _MULTIPLIERS.
+
+    A shorter entry grows by filter_multiplier on k = L+1..K only, which gives
+    the bits of the one-shot array, as filter_multiplier decides each element
+    from its own k.  An array over a quarter of _CACHE_BYTES is returned and
+    not kept (the shorter entry stays); least recently used entries go once
+    the table passes _CACHE_BYTES.
+    """
+    m = _MULTIPLIERS.get(spec, _NO_MULTIPLIERS)
+    if m.size >= K:  # K >= 1, so spec has an entry
+        _MULTIPLIERS.move_to_end(spec)
+        return m[:K]
+    grown = np.empty(K)
+    grown[: m.size] = m
+    for lo in range(m.size, K, _GROW_BLOCK):
+        hi = min(lo + _GROW_BLOCK, K)
+        grown[lo:hi] = filter_multiplier(np.arange(lo + 1.0, hi + 1.0), spec)
+    m = grown
+    m.flags.writeable = False
+    if m.nbytes <= _CACHE_BYTES // 4:
+        _MULTIPLIERS.pop(spec, None)
+        _MULTIPLIERS[spec] = m
+        while sum(v.nbytes for v in _MULTIPLIERS.values()) > _CACHE_BYTES:
+            _MULTIPLIERS.popitem(last=False)
+    return m
 
 
 def apply_filter_coeffs(coeffs: HarmonicCoefficients, spec: KernelSpec) -> HarmonicCoefficients:
@@ -291,6 +338,7 @@ def _two_box_kernel(d: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.clip(overlap, 0.0, None) / (4.0 * a * b)
 
 
+@functools.lru_cache(maxsize=256)
 def _envelope_cutoff(spec: KernelSpec, deriv: int, tol: float) -> float:
     """Smallest K >= the (deriv+2)-th breakpoint with (1/pi) int_K^inf x^deriv e(x) dx <= tol.
 
@@ -364,9 +412,10 @@ def _kernel_series(
         raise InsufficientOrderError(
             f"derivative of order {deriv} needs steps >= {deriv + 2}, got {spec.order}"
         )
-    k = np.arange(1, _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius) + 1, dtype=float)
-    weights = filter_multiplier(k, spec)
+    K = _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius)
+    weights = _multipliers(spec, K)
     if deriv:
+        k = np.arange(1, K + 1, dtype=float)
         weights = (1.0, -1.0, -1.0, 1.0)[deriv % 4] * k**deriv * weights
     return (1.0 / (2.0 * np.pi) if deriv == 0 else 0.0), PARITIES[deriv % 2], weights
 
@@ -442,6 +491,6 @@ def kernel_integral(spec: KernelSpec, opts: EvalOptions | None = None) -> float:
     if spec.order < 1:
         raise ValueError("kernel_integral requires order >= 1")
     m = opts.quad_resolution
-    mult = filter_multiplier(np.arange(1, min(opts.k_max, m - 1) + 1), spec)
+    mult = _multipliers(spec, min(opts.k_max, m - 1))
     values = 1.0 / (2.0 * np.pi) + _grid_values(mult, m, "cosine") / np.pi
     return float(values.sum() * (2.0 * np.pi / m))

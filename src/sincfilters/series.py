@@ -129,23 +129,33 @@ def theta_grid(resolution: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
 
 
+def _phases(points: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The points-by-k products; for one point they overwrite k, which has the points' dtype."""
+    if points.size == 1:
+        return np.multiply(points.ravel(), k, out=k).reshape(points.shape + k.shape)
+    return np.multiply.outer(points, k)
+
+
 def _cos_terms(theta: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return np.cos(np.multiply.outer(theta, k))
+    x = _phases(theta, k)
+    return np.cos(x, out=x)
 
 
 def _sin_terms(theta: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return np.sin(np.multiply.outer(theta, k))
+    x = _phases(theta, k)
+    return np.sin(x, out=x)
 
 
 def _chunk_sums(weights: np.ndarray, points: np.ndarray, terms):
     """Yield sum_k weights[k-1] * terms(points, k) over successive blocks of k = 1, 2, ...
 
     terms(points, k) returns the points-by-k matrix of term values, such as
-    cos(k theta) or z^k; blocks keep that matrix below _CHUNK_BYTES for any K.
+    cos(k theta) or z^k, and may overwrite k; blocks keep that matrix below
+    _CHUNK_BYTES for any K.
     """
     step = max(1, _CHUNK_BYTES // (points.itemsize * max(points.size, 1)))
     for lo in range(0, weights.size, step):
-        k = np.arange(lo + 1, min(lo + step, weights.size) + 1, dtype=float)
+        k = np.arange(lo + 1, min(lo + step, weights.size) + 1, dtype=points.dtype)
         yield terms(points, k) @ weights[lo : lo + k.size]
 
 
@@ -169,11 +179,13 @@ def _grid_values(weights: np.ndarray, resolution: int, parity: str) -> np.ndarra
     gives the values for j <= M/2; the rest follow from theta_{M-j} = -theta_j
     (mod 2*pi), so v[M-j] = v[j] for cosine and -v[j] for sine exactly, and a
     sine series is exactly 0 at theta = -pi and theta = 0.  Work and memory
-    are O(K + M log M).
+    are O(K + M log M), with two K-sized temporaries.
     """
     m = resolution
-    k = np.arange(1, weights.size + 1)
-    bins = np.bincount(k % m, weights=np.where(k % 2 == 1, -weights, weights), minlength=m)
+    signed = -weights
+    signed[1::2] = weights[1::2]  # (-1)^k w_k, k = 1, 2, ...
+    idx = np.arange(1, weights.size + 1)
+    bins = np.bincount(np.remainder(idx, m, out=idx), weights=signed, minlength=m)
     half = np.fft.rfft(bins)  # sum_b bins[b] * exp(-2*pi*i*jb/M), j = 0..M//2
     if parity == "cosine":
         v, sign = half.real, 1.0

@@ -193,6 +193,93 @@ def test_multiplier_rejects_non_finite_harmonics(variant):
             filter_multiplier(bad, spec)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec(3, 0.5, "naive"), KernelSpec(5, 0.5, "fixed"), KernelSpec(5, 0.5, "gaussian"),
+     KernelSpec(100, 0.5, "scaled")],
+    ids=lambda s: s.variant,
+)
+def test_multiplier_table_is_the_one_shot_product(spec):
+    from sincfilters.filters import _MULTIPLIERS, _Periodised, _multipliers
+
+    # hit, prefix, growth, shrink, and growth past a quarter of the table (not kept)
+    for K, kept in ((10, 10), (5, 10), (1000, 1000), (999, 1000), (70000, 1000)):
+        want = filter_multiplier(np.arange(1, K + 1.0), spec)
+        np.testing.assert_array_equal(_multipliers(spec, K).view(np.int64), want.view(np.int64))
+        assert _MULTIPLIERS[spec].size == kept
+    periodised = _Periodised(spec.order, spec.range_param, spec.variant)
+    _multipliers(periodised, 10)
+    assert list(_MULTIPLIERS) == [spec, periodised]  # equal fields, its own entry
+
+
+def test_multiplier_table_is_read_only():
+    from sincfilters.filters import _kernel_series, _multipliers
+
+    spec = KernelSpec(6, 0.5, "scaled")
+    for m in (_multipliers(spec, 100), _kernel_series(spec, 0, EvalOptions())[2]):
+        with pytest.raises(ValueError):
+            m[0] = 1.0
+
+
+def test_multiplier_table_stays_within_its_budget():
+    from sincfilters.filters import _CACHE_BYTES, _MULTIPLIERS, _multipliers
+
+    quarter = _CACHE_BYTES // 8 // 4
+    specs = [KernelSpec(6, eps, "scaled") for eps in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    for spec in specs[:4]:
+        _multipliers(spec, quarter)
+    assert list(_MULTIPLIERS) == specs[:4]
+    _multipliers(specs[0], quarter)  # a hit makes specs[0] the most recently used
+    _multipliers(specs[4], quarter)  # so specs[1] goes
+    assert list(_MULTIPLIERS) == [specs[2], specs[3], specs[0], specs[4]]
+    assert sum(m.nbytes for m in _MULTIPLIERS.values()) == _CACHE_BYTES
+    for big in (quarter + 1, _CACHE_BYTES // 8 + 1):  # past one spec's share, past the table
+        got = _multipliers(specs[2], big)
+        want = filter_multiplier(np.arange(1, big + 1.0), specs[2])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert _MULTIPLIERS[specs[2]].size == quarter
+    assert sum(m.nbytes for m in _MULTIPLIERS.values()) == _CACHE_BYTES
+
+
+def test_nonconvergence_leaves_the_multiplier_table_unchanged():
+    from sincfilters.filters import _MULTIPLIERS
+
+    kernel_eval(KernelSpec(8, 0.5), 0.1)
+    before = dict(_MULTIPLIERS)
+    with pytest.raises(NonConvergenceError):
+        kernel_eval(KernelSpec(3, 0.5, "naive"), 0.1)  # needs 4,460,311 > 2^20 harmonics
+    assert list(_MULTIPLIERS) == list(before)
+    assert all(_MULTIPLIERS[s] is m for s, m in before.items())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec(8, 0.3, "naive"), KernelSpec(12, 0.5, "fixed"), KernelSpec(12, 0.5, "gaussian"),
+     KernelSpec(100, 0.5, "scaled")],
+    ids=lambda s: s.variant,
+)
+def test_kernel_values_same_bits_cold_and_warm(spec):
+    from sincfilters import DiskPoint, complex_kernel_eval, filters
+
+    thetas = np.linspace(-3.5, 3.5, 41)
+    calls = [
+        lambda: kernel_eval(spec, thetas),
+        lambda: kernel_grid(spec, 1023),
+        lambda: scaled_kernel_derivative(spec, 1, thetas),
+        lambda: scaled_kernel_derivative(spec, 2, thetas),
+        lambda: np.array([complex_kernel_eval(spec, DiskPoint(r, 0.3), 1.0, -0.2)
+                          for r in (0.5, 0.99, 0.999)]),
+    ]
+    cold = []
+    for call in calls:
+        filters._MULTIPLIERS.clear()
+        filters._envelope_cutoff.cache_clear()
+        cold.append(call())
+    kernel_grid(spec, 8, EvalOptions(tail_tol=1e-14), 2)  # a longer entry; the calls read a prefix
+    for call, want in zip(calls, cold):
+        np.testing.assert_array_equal(call().view(np.int64), want.view(np.int64))
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(1, 0.0)

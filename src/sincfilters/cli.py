@@ -66,27 +66,19 @@ def _options(ns: argparse.Namespace) -> EvalOptions:
 
 
 def _cmd_kernel(ns: argparse.Namespace) -> int:
-    values = kernel_grid(KernelSpec(ns.order, ns.eps, ns.variant), ns.points, _options(ns))
-    _write_rows(ns.out, ("theta", "value"), theta_grid(ns.points), values)
-    return 0
-
-
-def _cmd_derivative(ns: argparse.Namespace) -> int:
-    if ns.deriv_order < 1:
+    """kernel, scaled-kernel and derivative (the one with a deriv_order, which must be >= 1)."""
+    if ns.deriv_order is not None and ns.deriv_order < 1:
         raise ValueError("derivative order must be >= 1")
-    spec = KernelSpec(ns.order, ns.eps, "scaled")
-    values = kernel_grid(spec, ns.points, _options(ns), ns.deriv_order)
+    spec = KernelSpec(ns.order, ns.eps, ns.variant)
+    values = kernel_grid(spec, ns.points, _options(ns), ns.deriv_order or 0)
     _write_rows(ns.out, ("theta", "value"), theta_grid(ns.points), values)
     return 0
 
 
 def _cmd_waveform(ns: argparse.Namespace) -> int:
-    if ns.order > 0:
-        spec = KernelSpec(ns.order, ns.eps, "scaled")
-        k_max = _cutoff(spec, 0, ns.tail_tol, ns.k_max) if ns.order >= 3 else ns.k_max
-        coeffs = apply_filter_coeffs(make_waveform(ns.kind, k_max), spec)
-    else:  # order 0 (or below): the unfiltered wave, for any eps
-        coeffs = make_waveform(ns.kind, ns.k_max)
+    spec = KernelSpec(ns.order, ns.eps, "scaled")  # N = 0: every multiplier is exactly 1
+    k_max = _cutoff(spec, 0, ns.tail_tol, ns.k_max) if ns.order >= 3 else ns.k_max
+    coeffs = apply_filter_coeffs(make_waveform(ns.kind, k_max), spec)
     signal = render_signal(coeffs, ns.points, _options(ns))
     _write_rows(ns.out, ("theta", "value"), signal.thetas(), signal.values)
     return 0
@@ -189,11 +181,11 @@ _GRID = ("--points", "--kmax", "--tol", "--out")
 # name: (handler, help, the flags the handler reads, parser defaults overriding _FLAGS')
 _COMMANDS = {
     "kernel": (_cmd_kernel, "order-N kernel over one period as theta,value CSV",
-               ("--eps", "--N", "--variant", *_GRID), {"order": 1}),
+               ("--eps", "--N", "--variant", *_GRID), {"order": 1, "deriv_order": None}),
     "scaled-kernel": (_cmd_kernel, "scaled kernel over one period as theta,value CSV",
-                      ("--eps", "--N", *_GRID), {"variant": "scaled"}),
-    "derivative": (_cmd_derivative, "term-wise scaled-kernel derivative as theta,value CSV",
-                   ("--eps", "--N", "--order", *_GRID), {}),
+                      ("--eps", "--N", *_GRID), {"variant": "scaled", "deriv_order": None}),
+    "derivative": (_cmd_kernel, "term-wise scaled-kernel derivative as theta,value CSV",
+                   ("--eps", "--N", "--order", *_GRID), {"variant": "scaled"}),
     "filter": (_cmd_filter, "apply a filter to a coefficient JSON file",
                ("--eps", "--N", "--variant", "--in", "--out"), {"order": 1}),
     "waveform": (_cmd_waveform, "scaled-filtered square/sawtooth/triangle wave as CSV",
@@ -227,7 +219,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, InsufficientOrderError, OSError) as exc:
+    except (ValueError, InsufficientOrderError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonConvergenceError as exc:

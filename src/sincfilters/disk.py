@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import KernelSpec, _kernel_series, filter_multiplier
-from .series import DEFAULT_OPTIONS, EvalOptions, _chunk_sums, _phases
+from .series import DEFAULT_OPTIONS, EvalOptions, _direct_sum
 
 __all__ = [
     "InnerAnalytic",
@@ -70,20 +70,13 @@ class DiskPoint:
             raise ValueError("rho must be non-negative")
 
 
-def _powers(log_z: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The points-by-k matrix z^k = exp(k log z)."""
-    x = _phases(log_z, k)
-    return np.exp(x, out=x)
-
-
 def _taylor_sum(coeffs: np.ndarray, z: np.ndarray, k_max: int) -> np.ndarray:
     """sum_k a_k z^k, k <= k_max, at an array of complex points, as exp(k log z) with 0^k = 0."""
     zero = z == 0
     log_z = np.log(np.where(zero, 1.0, z))
     # complex weights: numpy multiplies complex by real matrices ~100x slower, without BLAS
     weights = coeffs[:k_max].astype(complex)
-    terms = sum(_chunk_sums(weights, log_z, _powers), np.zeros(z.shape, dtype=complex))
-    return np.where(zero, 0.0, terms)
+    return np.where(zero, 0.0, _direct_sum(weights, log_z, np.exp))
 
 
 def _on_circle(coeffs: np.ndarray, p: DiskPoint, angles, opts: EvalOptions | None) -> np.ndarray:
@@ -186,7 +179,8 @@ def complex_kernel_eval(
     if r == 0.0:
         return complex(1.0 / (2.0 * np.pi))
     const, _, mult = _kernel_series(spec, 0, opts, radius=r)
-    return const + eval_inner(InnerAnalytic(mult), DiskPoint(r, p.theta - theta1), opts) / np.pi
+    value = _on_circle(mult, DiskPoint(r, p.theta - theta1), [0.0], opts)[0]
+    return const + complex(value) / np.pi
 
 
 def segment_filter(

@@ -124,7 +124,7 @@ class KernelSpec:
 class _Periodised(KernelSpec):
     """A spec whose total range may exceed pi: its kernel is the series wrapped on the period.
 
-    It has no compact support, so only the series path (_series_kernel) applies.
+    It has no compact support, so it has no closed form (_closed_form) and takes the series.
     """
 
     def _check_total_range(self) -> None:
@@ -420,36 +420,45 @@ def _kernel_series(
     return (1.0 / (2.0 * np.pi) if deriv == 0 else 0.0), PARITIES[deriv % 2], weights
 
 
-def _series_kernel(
-    spec: KernelSpec, d: np.ndarray, opts: EvalOptions, deriv: int = 0
-) -> np.ndarray:
-    """The kernel's (deriv-th derivative's) Fourier series at angles d, summed directly."""
-    const, parity, weights = _kernel_series(spec, deriv, opts)
-    return const + _point_values(weights, d, parity) / np.pi
+def _closed_form(spec: KernelSpec, deriv: int, caller: str):
+    """The one path choice: the exact kernel d -> K(d) on folded angles, or None for the series.
+
+    Only N <= 2 at deriv 0 has one (a box, two boxes convolved), and not a _Periodised spec.
+    Checks deriv >= 0 is an integer, and order >= 1 at deriv 0 (order 0 is the delta kernel).
+    """
+    if not isinstance(deriv, (int, np.integer)) or deriv < 0:
+        raise ValueError(f"derivative order must be a non-negative integer, got {deriv!r}")
+    if deriv == 0 and spec.order < 1:
+        raise ValueError(f"{caller} requires order >= 1 (order 0 is the delta kernel)")
+    if deriv or spec.order > 2 or isinstance(spec, _Periodised):
+        return None
+    stages = _stages(spec)
+    return lambda d: (_box_kernel if spec.order == 1 else _two_box_kernel)(d, *stages)
+
+
+def _kernel_points(spec: KernelSpec, dtheta, opts: EvalOptions | None, deriv: int):
+    """The kernel (deriv 0, at dtheta folded to [0, pi]) or its deriv-th derivative at dtheta."""
+    closed = _closed_form(spec, deriv, "kernel_eval")
+    d = _fold(dtheta) if deriv == 0 else np.asarray(dtheta, dtype=float)
+    scalar = d.ndim == 0
+    d = np.atleast_1d(d)
+    if closed is not None:
+        out = closed(d)
+    else:
+        const, parity, weights = _kernel_series(spec, deriv, opts or DEFAULT_OPTIONS)
+        out = const + _point_values(weights, d, parity) / np.pi
+    return float(out[0]) if scalar else out
 
 
 def kernel_eval(spec: KernelSpec, dtheta, opts: EvalOptions | None = None):
     """Kernel value at separation dtheta (scalar or array).
 
-    N = 1 and N = 2 use the exact closed forms (box of the first stage;
-    convolution of the first two stages' boxes); N >= 3 sums the Fourier
-    series, truncated where the rigorous tail bound drops below
-    opts.tail_tol.  Order 0 is the identity's singular kernel and is not
-    evaluable pointwise.
+    N = 1 and N = 2 use the exact closed forms (_closed_form); otherwise the
+    Fourier series is summed, truncated where the rigorous tail bound drops
+    below opts.tail_tol.  Order 0 is the identity's singular kernel and is
+    not evaluable pointwise.
     """
-    opts = opts or DEFAULT_OPTIONS
-    if spec.order < 1:
-        raise ValueError("kernel_eval requires order >= 1 (order 0 is the delta kernel)")
-    d = _fold(dtheta)
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
-    if spec.order == 1:
-        out = _box_kernel(d, *_stages(spec))
-    elif spec.order == 2:
-        out = _two_box_kernel(d, *_stages(spec))
-    else:
-        out = _series_kernel(spec, d, opts)
-    return float(out[0]) if scalar else out
+    return _kernel_points(spec, dtheta, opts, 0)
 
 
 def kernel_grid(
@@ -457,24 +466,17 @@ def kernel_grid(
 ) -> np.ndarray:
     """The kernel (deriv = 0) or its deriv-th derivative on theta_j = -pi + 2*pi*j/M.
 
-    At deriv 0, N = 1 and N = 2 use kernel_eval's exact closed forms on
-    j <= M/2, mirrored to the rest so the kernel is exactly even; every
-    other case sums the Fourier series cut by the rigorous tail rule with one
-    FFT, so the cost is O(K + M log M) for any K, and the values satisfy
-    v[M-j] == v[j] exactly (kernels, even derivatives) or v[M-j] == -v[j]
-    (odd derivatives).  A spec whose total range exceeds pi
-    (filters._Periodised) always takes the series.
+    A closed form (_closed_form) is taken on j <= M/2 and mirrored, so it is
+    exactly even; else one FFT sums the series cut by the tail rule, at cost
+    O(K + M log M) for any K, with v[M-j] == v[j] exactly (kernels, even
+    derivatives) or v[M-j] == -v[j] (odd derivatives).
     """
     opts = opts or DEFAULT_OPTIONS
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    if deriv < 0:
-        raise ValueError("derivative order must be >= 0")
-    if deriv == 0 and spec.order < 1:
-        raise ValueError("kernel_grid requires order >= 1 (order 0 is the delta kernel)")
-    if deriv == 0 and spec.order <= 2 and not isinstance(spec, _Periodised):
-        half = theta_grid(resolution)[: resolution // 2 + 1]
-        return _mirror(kernel_eval(spec, half, opts), resolution)
+    closed = _closed_form(spec, deriv, "kernel_grid")
+    if closed is not None:
+        return _mirror(closed(_fold(theta_grid(resolution)[: resolution // 2 + 1])), resolution)
     const, parity, weights = _kernel_series(spec, deriv, opts)
     return const + _grid_values(weights, resolution, parity) / np.pi
 

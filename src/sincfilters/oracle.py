@@ -26,19 +26,16 @@ _CHUNK_ELEMENTS = 4_000_000
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """resolution: quadrature points per 2*eps window; k_cap: series cap.
+    """resolution: quadrature points per 2*eps window.
 
     Acceptance runs use resolution >= 10^3.
     """
 
     resolution: int = 2000
-    k_cap: int = 100_000
 
     def __post_init__(self) -> None:
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
-        if self.k_cap < 1:
-            raise ValueError("k_cap must be >= 1")
 
 
 DEFAULT_ORACLE = OracleConfig()

@@ -15,13 +15,13 @@ import numpy as np
 
 from .filters import (
     KernelSpec,
-    _series_kernel,
+    _kernel_points,
     apply_filter_coeffs,
     filter_multiplier,
     kernel_eval,
     total_range,
 )
-from .series import DEFAULT_OPTIONS, EvalOptions
+from .series import EvalOptions
 
 __all__ = [
     "ScaledKernelParams",
@@ -57,9 +57,7 @@ def scaled_kernel_derivative(
     """
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    th = np.asarray(dtheta, dtype=float)
-    out = _series_kernel(params, np.atleast_1d(th), opts or DEFAULT_OPTIONS, order)
-    return float(out[0]) if th.ndim == 0 else out
+    return _kernel_points(params, dtheta, opts, order)
 
 
 def invariant_points(eps: float) -> list[tuple[float, float]]:

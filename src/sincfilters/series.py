@@ -136,33 +136,23 @@ def _phases(points: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.multiply.outer(points, k)
 
 
-def _cos_terms(theta: np.ndarray, k: np.ndarray) -> np.ndarray:
-    x = _phases(theta, k)
-    return np.cos(x, out=x)
+def _direct_sum(weights: np.ndarray, points: np.ndarray, term) -> np.ndarray:
+    """sum_k weights[k-1] * term(k x) at every point x, for term np.cos, np.sin or np.exp.
 
-
-def _sin_terms(theta: np.ndarray, k: np.ndarray) -> np.ndarray:
-    x = _phases(theta, k)
-    return np.sin(x, out=x)
-
-
-def _chunk_sums(weights: np.ndarray, points: np.ndarray, terms):
-    """Yield sum_k weights[k-1] * terms(points, k) over successive blocks of k = 1, 2, ...
-
-    terms(points, k) returns the points-by-k matrix of term values, such as
-    cos(k theta) or z^k, and may overwrite k; blocks keep that matrix below
-    _CHUNK_BYTES for any K.
+    Blocks of k keep the points-by-k matrix below _CHUNK_BYTES; their sums are added in order.
     """
+    total = np.zeros(points.shape, dtype=points.dtype)
     step = max(1, _CHUNK_BYTES // (points.itemsize * max(points.size, 1)))
     for lo in range(0, weights.size, step):
         k = np.arange(lo + 1, min(lo + step, weights.size) + 1, dtype=points.dtype)
-        yield terms(points, k) @ weights[lo : lo + k.size]
+        x = _phases(points, k)
+        total += term(x, out=x) @ weights[lo : lo + k.size]
+    return total
 
 
 def _point_values(weights: np.ndarray, thetas: np.ndarray, parity: str) -> np.ndarray:
     """sum_k weights[k-1] * cos(k theta) (or sin) at arbitrary angles, summed directly."""
-    terms = _cos_terms if parity == "cosine" else _sin_terms
-    return sum(_chunk_sums(weights, thetas, terms), np.zeros(thetas.shape))
+    return _direct_sum(weights, thetas, np.cos if parity == "cosine" else np.sin)
 
 
 def _mirror(half: np.ndarray, resolution: int, sign: float = 1.0) -> np.ndarray:

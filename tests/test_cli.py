@@ -141,16 +141,23 @@ def test_selfcheck_passes(capsys):
     assert "PASS" in out
 
 
-def test_grid_path_exit_codes(tmp_path, capsys):
+def test_grid_path_exit_codes(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "x.csv")
     # a first derivative needs N >= 3 (InsufficientOrderError)
     assert main(["derivative", "--N", "2", "--order", "1", "--points", "64", "--out", out]) == 1
     assert main(["derivative", "--N", "100", "--order", "0", "--points", "64", "--out", out]) == 1
     assert main(["kernel", "--N", "5", "--tol", "1e-9", "--points", "0", "--out", out]) == 1
+    assert main(["waveform", "--N", "-2", "--points", "64", "--out", out]) == 1
+    # 5.9e15 harmonics: numpy refuses the 41.7 PiB array at once, without allocating it
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    argv = "kernel --N 3 --tol 1e-30 --kmax 100000000000000000 --points 64 --out o.csv"
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_periodised_matches_direct_series(tmp_path):
-    from sincfilters.filters import _Periodised, _series_kernel
+    from sincfilters.filters import _Periodised, kernel_eval
     from sincfilters.series import EvalOptions, theta_grid
 
     out_dir = tmp_path / "sweep"
@@ -160,7 +167,7 @@ def test_sweep_periodised_matches_direct_series(tmp_path):
     grid = theta_grid(1024)
     for n in (8, 16, 32, 64, 128):  # total range n * 0.5 > pi
         _, data = read_csv(out_dir / f"kernel_naive_N{n}.csv")
-        direct = _series_kernel(_Periodised(n, 0.5, "naive"), grid, EvalOptions(tail_tol=1e-9))
+        direct = kernel_eval(_Periodised(n, 0.5, "naive"), grid, EvalOptions(tail_tol=1e-9))
         assert np.abs(data[:, 1] - direct).max() <= 1e-12
 
 

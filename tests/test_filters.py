@@ -29,6 +29,7 @@ from sincfilters import (
     theta_grid,
     total_range,
 )
+from sincfilters.filters import _Periodised
 from sincfilters.oracle import OracleConfig
 
 # mpmath (30 digits) oracles, frozen
@@ -678,6 +679,7 @@ def test_kernel_grid_closed_forms_exactly_even(variant, resolution):
         (KernelSpec(100, 0.5, "scaled"), 1e-12, 8192),  # K = 2219 < M
         (KernelSpec(8192, 0.5, "fixed"), 1e-9, 1024),  # K = 16425 > M
         (KernelSpec(3, 0.5, "scaled"), 1e-9, 1024),  # K = 285460 >> M
+        (_Periodised(2, 2.0, "naive"), 1e-6, 1024),  # range 4 > pi: no closed form either way
     ],
 )
 def test_kernel_grid_matches_direct_sum(spec, tol, resolution):
@@ -686,6 +688,15 @@ def test_kernel_grid_matches_direct_sum(spec, tol, resolution):
     got = kernel_grid(spec, resolution, opts)
     direct = kernel_eval(spec, theta_grid(resolution)[rows], opts)
     assert np.abs(got[rows] - direct).max() <= 1e-12 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("deriv", [1.5, -1])
+def test_derivative_order_must_be_a_non_negative_integer(deriv):
+    spec = KernelSpec(100, 0.5, "scaled")
+    with pytest.raises(ValueError):
+        kernel_grid(spec, 64, deriv=deriv)
+    with pytest.raises(ValueError):
+        scaled_kernel_derivative(spec, deriv, 0.1)
 
 
 @pytest.mark.parametrize("deriv", [1, 2, 3])

@@ -20,6 +20,7 @@ from .filters import (
     VARIANTS,
     KernelSpec,
     _cutoff,
+    _multipliers,
     _Periodised,
     apply_filter_coeffs,
     filter_multiplier,
@@ -33,12 +34,14 @@ from .scaled import invariant_points
 from .series import (
     WAVEFORMS,
     EvalOptions,
+    HarmonicCoefficients,
+    _resolution,
     _write_rows,
     load_coefficients,
     make_waveform,
     render_signal,
     save_coefficients,
-    theta_grid,
+    save_signal,
 )
 
 __all__ = ["main", "console_main"]
@@ -71,16 +74,16 @@ def _cmd_kernel(ns: argparse.Namespace) -> int:
         raise ValueError("derivative order must be >= 1")
     spec = KernelSpec(ns.order, ns.eps, ns.variant)
     values = kernel_grid(spec, ns.points, _options(ns), ns.deriv_order or 0)
-    _write_rows(ns.out, ("theta", "value"), theta_grid(ns.points), values)
+    _write_rows(ns.out, ("theta", "value"), ns.points, values)
     return 0
 
 
 def _cmd_waveform(ns: argparse.Namespace) -> int:
     spec = KernelSpec(ns.order, ns.eps, "scaled")  # N = 0: every multiplier is exactly 1
     k_max = _cutoff(spec, 0, ns.tail_tol, ns.k_max) if ns.order >= 3 else ns.k_max
-    coeffs = apply_filter_coeffs(make_waveform(ns.kind, k_max), spec)
-    signal = render_signal(coeffs, ns.points, _options(ns))
-    _write_rows(ns.out, ("theta", "value"), signal.thetas(), signal.values)
+    wave = make_waveform(ns.kind, k_max)
+    coeffs = HarmonicCoefficients(wave.parity, wave.coeffs * _multipliers(spec, k_max))
+    save_signal(render_signal(coeffs, ns.points, _options(ns)), ns.out)
     return 0
 
 
@@ -112,11 +115,11 @@ def _sweep_spec(ns: argparse.Namespace, n: int) -> KernelSpec:
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = theta_grid(ns.points)
+    points = _resolution(ns.points)  # before any spec is checked
     opts = _options(ns)
     for n in SWEEP_LISTS[ns.variant]:
-        values = kernel_grid(_sweep_spec(ns, n), ns.points, opts)
-        _write_rows(out_dir / f"kernel_{ns.variant}_N{n}.csv", ("theta", "value"), grid, values)
+        values = kernel_grid(_sweep_spec(ns, n), points, opts)
+        _write_rows(out_dir / f"kernel_{ns.variant}_N{n}.csv", ("theta", "value"), points, values)
     return 0
 
 

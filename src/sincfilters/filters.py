@@ -29,8 +29,8 @@ kernel_grid, scaled_kernel_derivative, disk.complex_kernel_eval) and
 kernel_integral read m_1..m_K from a per-process table (_multipliers) of at
 most 2 MiB, a quarter of it per spec, least recently used spec out first,
 with the bits of a fresh filter_multiplier call; the tail rule is memoised
-too.  Filtering a user's coefficients (apply_filter_coeffs) computes its
-multipliers afresh.
+too.  The CLI's filtered waveform reads the same table.  Only filtering a
+user's coefficients (apply_filter_coeffs) computes its multipliers afresh.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .series import (
     _grid_values,
     _mirror,
     _point_values,
+    _resolution,
     theta_grid,
 )
 
@@ -471,9 +472,8 @@ def kernel_grid(
     O(K + M log M) for any K, with v[M-j] == v[j] exactly (kernels, even
     derivatives) or v[M-j] == -v[j] (odd derivatives).
     """
+    resolution = _resolution(resolution)
     opts = opts or DEFAULT_OPTIONS
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
     closed = _closed_form(spec, deriv, "kernel_grid")
     if closed is not None:
         return _mirror(closed(_fold(theta_grid(resolution)[: resolution // 2 + 1])), resolution)

@@ -11,8 +11,9 @@ points (the standard waveforms' singular points sit on the grid).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,9 @@ _CHUNK_BYTES = 2**25
 # load_signal accepts a theta within this fraction of the grid step of theta_j.
 _THETA_SLACK = 1e-3
 
-# _write_rows formats this many rows with one % operation.
+# _write_rows formats this many rows with one % operation; _grid_rows keeps this many blocks.
 _ROW_BLOCK = 4096
+_GRID_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -122,11 +124,26 @@ class SampledSignal:
         return float(self.values[j % self.resolution])
 
 
+def _resolution(resolution, least: int = 1) -> int:
+    """The grid resolution M as an int; ValueError if it is not an integer or is below least."""
+    try:
+        m = operator.index(resolution)
+    except TypeError:
+        raise ValueError(f"resolution must be an integer, got {resolution!r}") from None
+    if m < least:
+        raise ValueError(f"resolution must be >= {least}")
+    return m
+
+
 def theta_grid(resolution: int) -> np.ndarray:
     """Uniform periodic grid theta_j = -pi + 2*pi*j/M, j = 0..M-1."""
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    return -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
+    m = _resolution(resolution)
+    return _thetas(np.arange(m), m)
+
+
+def _thetas(j: np.ndarray, resolution: int) -> np.ndarray:
+    """theta_j at the indices j alone: elementwise the bits of theta_grid(resolution)[j]."""
+    return -np.pi + 2.0 * np.pi * j / resolution
 
 
 def _phases(points: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -224,8 +241,7 @@ def render_signal(
     coeffs: HarmonicCoefficients, resolution: int, opts: EvalOptions | None = None
 ) -> SampledSignal:
     """Sample the series on the standard grid of the given resolution (one FFT, any K)."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    resolution = _resolution(resolution, 2)
     opts = opts or DEFAULT_OPTIONS
     return SampledSignal(_grid_values(coeffs.coeffs[: opts.k_max], resolution, coeffs.parity))
 
@@ -242,25 +258,46 @@ def load_coefficients(path) -> HarmonicCoefficients:
     return HarmonicCoefficients(obj["parity"], np.asarray(obj["coeffs"], dtype=float))
 
 
+def _rows(x_cell: str, xs: list) -> str:
+    """Row template: each x formatted by x_cell, then a %.17g slot for its y."""
+    return ((x_cell + ",%%.17g\n") * len(xs)) % tuple(xs)
+
+
+@functools.lru_cache(maxsize=_GRID_BLOCKS)
+def _grid_rows(resolution: int, lo: int) -> str:
+    """_rows of theta_j, j = lo..lo+_ROW_BLOCK-1 (below M), at 17 significant digits."""
+    j = np.arange(lo, min(lo + _ROW_BLOCK, resolution))
+    return _rows("%.17g", _thetas(j, resolution).tolist())
+
+
 def _write_rows(path, header: tuple[str, str], xs, ys) -> None:
     """Two-column CSV with LF line ends: integers as integers, floats at 17 significant digits.
 
-    Each block of _ROW_BLOCK rows is one % over Python scalars, the same bytes
-    as formatting every value with .17g; %d equals .17g for |k| < 10^17.
+    xs is the x column, or the resolution M of the grid theta_j, whose block
+    templates are memoised (_grid_rows).  Each block of _ROW_BLOCK rows is a
+    template that holds its x cells and a %.17g slot per y, filled by one %
+    over Python scalars: the bytes of formatting every value with .17g, as
+    %d equals .17g for |k| < 10^17.
     """
-    cols = (np.asarray(xs), np.asarray(ys))
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
+    ys = np.asarray(ys)
+    if isinstance(xs, (int, np.integer)):
+        template = functools.partial(_grid_rows, int(xs))
+    else:
+        xs = np.asarray(xs)
+        x_cell = "%d" if xs.dtype.kind in "iu" else "%.17g"
+
+        def template(lo: int) -> str:
+            return _rows(x_cell, xs[lo : lo + _ROW_BLOCK].tolist())
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{header[0]},{header[1]}\n")
-        for lo in range(0, cols[0].size, _ROW_BLOCK):
-            x, y = (c[lo : lo + _ROW_BLOCK].tolist() for c in cols)
-            cells = tuple(itertools.chain.from_iterable(zip(x, y)))
-            fh.write((row * (len(cells) // 2)) % cells)
+        for lo in range(0, ys.size, _ROW_BLOCK):
+            fh.write(template(lo) % tuple(ys[lo : lo + _ROW_BLOCK].tolist()))
 
 
 def save_signal(signal: SampledSignal, path) -> None:
     """Write CSV with header theta,value at 17 significant digits and LF line ends."""
-    _write_rows(path, ("theta", "value"), signal.thetas(), signal.values)
+    _write_rows(path, ("theta", "value"), signal.resolution, signal.values)
 
 
 def load_signal(path) -> SampledSignal:

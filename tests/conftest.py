@@ -1,10 +1,11 @@
 import pytest
 
-from sincfilters import filters
+from sincfilters import filters, series
 
 
 @pytest.fixture(autouse=True)
 def cold_multiplier_tables():
-    """Start every test with empty multiplier and tail-rule caches, so none passes on a warm one."""
+    """Empty the multiplier, tail-rule and row-template caches, so no test passes on a warm one."""
     filters._MULTIPLIERS.clear()
     filters._envelope_cutoff.cache_clear()
+    series._grid_rows.cache_clear()

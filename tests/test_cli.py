@@ -113,6 +113,15 @@ def test_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_grid_files_after_other_grids_in_one_process(tmp_path):
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    assert main(["kernel", "--points", "1024", "--out", str(first)]) == 0
+    assert main(["kernel", "--points", "1023", "--out", str(tmp_path / "odd.csv")]) == 0
+    assert main(["sweep", "--variant", "scaled", "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["kernel", "--points", "1024", "--out", str(last)]) == 0
+    assert last.read_bytes() == first.read_bytes()
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["kernel", "--variant", "boxcar", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["kernel", "--N", "1"]) == 1  # missing --out

@@ -699,6 +699,23 @@ def test_derivative_order_must_be_a_non_negative_integer(deriv):
         scaled_kernel_derivative(spec, deriv, 0.1)
 
 
+@pytest.mark.parametrize("order", [1, 2, 100])
+def test_grid_resolution_must_be_an_integer(order):
+    spec = KernelSpec(order, 0.5, "scaled")
+    coeffs = HarmonicCoefficients("sine", [1.0, 0.5])
+    for resolution in (8.5, 1024.0, np.float64(64.0)):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            theta_grid(resolution)
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            kernel_grid(spec, resolution)
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            render_signal(coeffs, resolution)
+    m = np.int64(16)
+    assert np.array_equal(theta_grid(m), theta_grid(16))
+    assert np.array_equal(kernel_grid(spec, m), kernel_grid(spec, 16))
+    assert np.array_equal(render_signal(coeffs, m).values, render_signal(coeffs, 16).values)
+
+
 @pytest.mark.parametrize("deriv", [1, 2, 3])
 def test_kernel_grid_derivatives_match_direct_sum(deriv):
     spec = KernelSpec(100, 0.5, "scaled")

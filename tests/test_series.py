@@ -195,7 +195,7 @@ def _per_row_rows(path, header, xs, ys):
 SPECIAL_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, -1e-5, 2.0**53 + 2]
 
 
-@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097])
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 16384])
 def test_write_rows_matches_per_row_format(tmp_path, rows):
     rng = np.random.default_rng(rows)
     floats = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
@@ -214,6 +214,17 @@ def test_write_rows_matches_per_row_format(tmp_path, rows):
         got = (tmp_path / f"{name}.csv").read_bytes()
         assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
     assert (tmp_path / "k_float.csv").read_text().splitlines()[-1].startswith("1048576,")
+    # the grid as a resolution (memoised row templates) and as a theta array, cold then warm,
+    # with two resolutions interleaved
+    grids = {m: np.resize(floats, m) for m in (rows, rows + 1)}
+    for m, ys in grids.items():
+        _per_row_rows(tmp_path / f"grid{m}_ref.csv", ("theta", "value"), theta_grid(m), ys)
+    for warmth in ("cold", "warm"):
+        for m, ys in grids.items():
+            for xs in (m, theta_grid(m)):
+                _write_rows(tmp_path / "grid.csv", ("theta", "value"), xs, ys)
+                want = (tmp_path / f"grid{m}_ref.csv").read_bytes()
+                assert (tmp_path / "grid.csv").read_bytes() == want, (warmth, m, type(xs))
 
 
 def test_save_coefficients_matches_json_dump(tmp_path):

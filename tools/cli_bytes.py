@@ -9,7 +9,13 @@ directory under one temporary directory.  For each invocation the script
 prints one line per compared item, `same` or `differs`: the exit code,
 stdout, stderr and every file the run wrote.  Tree paths are replaced by
 `<src>` before stdout and stderr are compared, so a traceback reads the same
-from either tree.  Exits 1 if any item differs, else 0.  Standard library
+from either tree.
+
+Then each tree replays the whole list in one process, through `cli.main`,
+each invocation again in its own directory, and every item is compared with
+that tree's fresh-process run (lines marked `replay`).  State that one call
+leaves behind for the next, such as a stale in-process cache, shows there
+and nowhere else.  Exits 1 if any item differs, else 0.  Standard library
 only; the trees need numpy.
 """
 
@@ -71,23 +77,69 @@ INVOCATIONS = [
 ]
 
 
-def run(src: Path, argv: str, cwd: Path) -> dict:
+# Run on stdin's [[argv, cwd], ...] in one process; print [exit code, stdout, stderr] per call.
+REPLAY = """
+import contextlib, io, json, os, sys, traceback
+from sincfilters import cli
+for argv, cwd in json.load(sys.stdin):
+    os.chdir(cwd)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def prepare(cwd: Path) -> None:
     cwd.mkdir(parents=True)
     for name, obj in COEFFS.items():
         (cwd / name).write_text(json.dumps(obj) + "\n", encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "sincfilters.cli", *argv.split()],
-                          cwd=cwd, env=env, capture_output=True, timeout=600)
 
+
+def outcome(src: Path, cwd: Path, code: int, stdout: bytes, stderr: bytes) -> dict:
     def scrub(data: bytes) -> bytes:
         return data.replace(str(src).encode(), b"<src>").replace(str(cwd).encode(), b"<cwd>")
 
-    items = {"exit code": str(proc.returncode).encode(), "stdout": scrub(proc.stdout),
-             "stderr": scrub(proc.stderr)}
+    items = {"exit code": str(code).encode(), "stdout": scrub(stdout), "stderr": scrub(stderr)}
     for path in sorted(cwd.rglob("*")):
         if path.is_file() and path.name not in COEFFS:
             items[f"file {path.relative_to(cwd)}"] = path.read_bytes()
     return items
+
+
+def run(src: Path, argv: str, cwd: Path) -> dict:
+    prepare(cwd)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "sincfilters.cli", *argv.split()],
+                          cwd=cwd, env=env, capture_output=True, timeout=600)
+    return outcome(src, cwd, proc.returncode, proc.stdout, proc.stderr)
+
+
+def replay(src: Path, cwds: list[Path]) -> list[dict]:
+    """Every invocation through cli.main in one process, the i-th in cwds[i]."""
+    for cwd in cwds:
+        prepare(cwd)
+    calls = json.dumps([[argv.split(), str(cwd)] for argv, cwd in zip(INVOCATIONS, cwds)])
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", REPLAY], input=calls.encode(), env=env,
+                          capture_output=True, timeout=1800)
+    if proc.returncode:
+        sys.exit(f"the replay against {src} failed:\n{proc.stderr.decode()}")
+    return [outcome(src, cwd, code, out.encode(), err.encode())
+            for cwd, (code, out, err) in zip(cwds, map(json.loads, proc.stdout.splitlines()))]
+
+
+def compare(i: int, label: str, old: dict, new: dict) -> int:
+    differ = 0
+    for key in sorted(old.keys() | new.keys()):
+        same = old.get(key) == new.get(key)
+        differ += not same
+        print(f"{'same   ' if same else 'differs'}  [{i:2d}] {label + key:<35} {INVOCATIONS[i]}")
+    return differ
 
 
 def main(argv: list[str]) -> int:
@@ -101,14 +153,16 @@ def main(argv: list[str]) -> int:
             return 2
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
+        fresh = {side: [] for side in ("old", "new")}
         for i, invocation in enumerate(INVOCATIONS):
-            old, new = (run(tree, invocation, Path(tmp, side, str(i)))
-                        for tree, side in zip(trees, ("old", "new")))
-            for key in sorted(old.keys() | new.keys()):
-                same = old.get(key) == new.get(key)
-                differ += not same
-                print(f"{'same   ' if same else 'differs'}  [{i:2d}] {key:<28} {invocation}")
-    print(f"cli_bytes: {len(INVOCATIONS)} invocations, {differ} item(s) differ")
+            for tree, side in zip(trees, fresh):
+                fresh[side].append(run(tree, invocation, Path(tmp, side, str(i))))
+            differ += compare(i, "", fresh["old"][i], fresh["new"][i])
+        for tree, side in zip(trees, fresh):
+            cwds = [Path(tmp, f"{side}-replay", str(i)) for i in range(len(INVOCATIONS))]
+            for i, items in enumerate(replay(tree, cwds)):
+                differ += compare(i, f"{side} replay ", fresh[side][i], items)
+    print(f"cli_bytes: {len(INVOCATIONS)} invocations, fresh and replayed, {differ} item(s) differ")
     return 1 if differ else 0
 
 

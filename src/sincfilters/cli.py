@@ -20,7 +20,6 @@ from .filters import (
     VARIANTS,
     KernelSpec,
     _cutoff,
-    _multipliers,
     _Periodised,
     apply_filter_coeffs,
     filter_multiplier,
@@ -34,7 +33,6 @@ from .scaled import invariant_points
 from .series import (
     WAVEFORMS,
     EvalOptions,
-    HarmonicCoefficients,
     _resolution,
     _write_rows,
     load_coefficients,
@@ -81,8 +79,7 @@ def _cmd_kernel(ns: argparse.Namespace) -> int:
 def _cmd_waveform(ns: argparse.Namespace) -> int:
     spec = KernelSpec(ns.order, ns.eps, "scaled")  # N = 0: every multiplier is exactly 1
     k_max = _cutoff(spec, 0, ns.tail_tol, ns.k_max) if ns.order >= 3 else ns.k_max
-    wave = make_waveform(ns.kind, k_max)
-    coeffs = HarmonicCoefficients(wave.parity, wave.coeffs * _multipliers(spec, k_max))
+    coeffs = apply_filter_coeffs(make_waveform(ns.kind, k_max), spec)
     save_signal(render_signal(coeffs, ns.points, _options(ns)), ns.out)
     return 0
 

@@ -29,8 +29,8 @@ kernel_grid, scaled_kernel_derivative, disk.complex_kernel_eval) and
 kernel_integral read m_1..m_K from a per-process table (_multipliers) of at
 most 2 MiB, a quarter of it per spec, least recently used spec out first,
 with the bits of a fresh filter_multiplier call; the tail rule is memoised
-too.  The CLI's filtered waveform reads the same table.  Only filtering a
-user's coefficients (apply_filter_coeffs) computes its multipliers afresh.
+too.  Filtering coefficients (apply_filter_coeffs, and so the CLI's
+filter and waveform) reads the same table.
 """
 
 from __future__ import annotations
@@ -260,8 +260,7 @@ def apply_filter_coeffs(coeffs: HarmonicCoefficients, spec: KernelSpec) -> Harmo
     """Multiply every a_k by the filter's eigenvalue; parity and length kept."""
     if len(coeffs) == 0:
         return coeffs
-    k = np.arange(1, len(coeffs) + 1)
-    return HarmonicCoefficients(coeffs.parity, coeffs.coeffs * filter_multiplier(k, spec))
+    return HarmonicCoefficients(coeffs.parity, coeffs.coeffs * _multipliers(spec, len(coeffs)))
 
 
 def _fractional_index(x: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -316,6 +316,19 @@ def test_apply_filter_square_wave_first_harmonic():
     assert out.coeffs[0] == pytest.approx(A1_FILTERED_SQUARE, abs=1e-14)
 
 
+def test_apply_filter_reads_the_table_with_the_one_shot_bits():
+    from sincfilters.filters import _MULTIPLIERS
+
+    spec = KernelSpec(100, 0.5, "scaled")
+    coeffs = make_waveform("square", 5000)
+    want = coeffs.coeffs * filter_multiplier(np.arange(1, 5001.0), spec)
+    for K in (5000, 3000, 5000):  # cold, a prefix of the entry, a hit
+        out = apply_filter_coeffs(HarmonicCoefficients("sine", coeffs.coeffs[:K]), spec)
+        np.testing.assert_array_equal(out.coeffs.view(np.int64), want[:K].view(np.int64))
+        out.coeffs[0] = 0.0  # the caller's array, not the table's
+    assert _MULTIPLIERS[spec].size == 5000 and _MULTIPLIERS[spec][0] != 0.0
+
+
 # ---------------------------------------------------------------- direct filter
 
 

@@ -60,7 +60,8 @@ INVOCATIONS = [
     *(f"filter --in {f} --N 3 --variant {v} --out {out}"
       for f, v, out in (("coeffs.json", "naive", "f.csv"), ("sine.json", "gaussian", "f.json"),
                         ("sine.json", "scaled", "f.csv"))),
-    # exit 1 and 2
+    # exit 0 through SystemExit, exit 1 and 2
+    "kernel --help",
     "kernel --N 3 --points 64 --out x.csv",
     "kernel --N 3 --eps 5e-324 --points 64 --out x.csv",
     "kernel --N 0 --points 64 --out x.csv",
@@ -87,6 +88,13 @@ for argv, cwd in json.load(sys.stdin):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
+        except SystemExit as exc:  # to an exit code, as the interpreter maps it
+            code = exc.code
+            if code is None:
+                code = 0
+            elif not isinstance(code, int):
+                print(code, file=sys.stderr)
+                code = 1
         except Exception:
             traceback.print_exc()
             code = 1
@@ -127,10 +135,12 @@ def replay(src: Path, cwds: list[Path]) -> list[dict]:
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", REPLAY], input=calls.encode(), env=env,
                           capture_output=True, timeout=1800)
-    if proc.returncode:
-        sys.exit(f"the replay against {src} failed:\n{proc.stderr.decode()}")
+    lines = proc.stdout.splitlines()
+    if proc.returncode or len(lines) != len(cwds):
+        sys.exit(f"the replay against {src} failed after {len(lines)} of {len(cwds)} calls:\n"
+                 f"{proc.stderr.decode()}")
     return [outcome(src, cwd, code, out.encode(), err.encode())
-            for cwd, (code, out, err) in zip(cwds, map(json.loads, proc.stdout.splitlines()))]
+            for cwd, (code, out, err) in zip(cwds, map(json.loads, lines), strict=True)]
 
 
 def compare(i: int, label: str, old: dict, new: dict) -> int:

@@ -3,118 +3,20 @@
 Coefficient-space sinc multipliers, the physical-space moving average, the
 order-N kernels in their three range regimes, the infinite-order scaled
 kernel, and the unit-disk realization on inner analytic functions.
+
+The package exports each module's __all__; a public name is declared there only.
 """
 
-from .errors import FilterRangeError, InsufficientOrderError, NonConvergenceError
-from .series import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
-    HarmonicCoefficients,
-    SampledSignal,
-    eval_series,
-    load_coefficients,
-    load_signal,
-    make_waveform,
-    render_signal,
-    save_coefficients,
-    save_signal,
-    theta_grid,
-)
-from .filters import (
-    KernelSpec,
-    VARIANTS,
-    apply_filter_coeffs,
-    filter_direct,
-    filter_multiplier,
-    kernel_eval,
-    kernel_grid,
-    kernel_integral,
-    sinc,
-    stage_range,
-    total_range,
-)
-from .scaled import (
-    ScaledKernelParams,
-    apply_scaled_filter,
-    effective_range,
-    invariant_points,
-    scaled_coefficient,
-    scaled_kernel_derivative,
-    scaled_kernel_eval,
-    zero_derivative_points,
-)
-from .disk import (
-    DiskPoint,
-    InnerAnalytic,
-    complex_filter_coeffs,
-    complex_filter_eval,
-    complex_filter_order_n,
-    complex_kernel_eval,
-    eval_inner,
-    load_inner,
-    log_derivative,
-    log_primitive,
-    save_inner,
-    segment_filter,
-)
-from .oracle import (
-    OracleConfig,
-    oracle_iterated_filter,
-    oracle_moving_average,
-    oracle_series_value,
-)
+from . import disk, errors, filters, oracle, scaled, series
+from .disk import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .filters import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .scaled import *  # noqa: F403
+from .series import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_OPTIONS",
-    "DiskPoint",
-    "EvalOptions",
-    "FilterRangeError",
-    "HarmonicCoefficients",
-    "InnerAnalytic",
-    "InsufficientOrderError",
-    "KernelSpec",
-    "NonConvergenceError",
-    "OracleConfig",
-    "SampledSignal",
-    "ScaledKernelParams",
-    "VARIANTS",
-    "apply_filter_coeffs",
-    "apply_scaled_filter",
-    "complex_filter_coeffs",
-    "complex_filter_eval",
-    "complex_filter_order_n",
-    "complex_kernel_eval",
-    "effective_range",
-    "eval_inner",
-    "eval_series",
-    "filter_direct",
-    "filter_multiplier",
-    "invariant_points",
-    "kernel_eval",
-    "kernel_grid",
-    "kernel_integral",
-    "load_coefficients",
-    "load_inner",
-    "load_signal",
-    "log_derivative",
-    "log_primitive",
-    "make_waveform",
-    "oracle_iterated_filter",
-    "oracle_moving_average",
-    "oracle_series_value",
-    "render_signal",
-    "save_coefficients",
-    "save_inner",
-    "save_signal",
-    "scaled_coefficient",
-    "scaled_kernel_derivative",
-    "scaled_kernel_eval",
-    "segment_filter",
-    "sinc",
-    "stage_range",
-    "theta_grid",
-    "total_range",
-    "zero_derivative_points",
-]
+__all__ = sorted(
+    name for module in (errors, series, filters, scaled, disk, oracle) for name in module.__all__
+)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import KernelSpec, _kernel_series, filter_multiplier
-from .series import DEFAULT_OPTIONS, EvalOptions, _direct_sum
+from .filters import KernelSpec, _filtered, _kernel_series
+from .series import DEFAULT_OPTIONS, EvalOptions, _coefficient_array, _direct_sum, _load_json
 
 __all__ = [
     "InnerAnalytic",
@@ -45,12 +45,7 @@ class InnerAnalytic:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("coeffs must be a one-dimensional real sequence")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must all be finite")
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _coefficient_array(self.coeffs))
 
     def __len__(self) -> int:
         return int(self.coeffs.size)
@@ -111,9 +106,9 @@ def log_primitive(w: InnerAnalytic) -> InnerAnalytic:
 
 
 def complex_filter_coeffs(w: InnerAnalytic, eps: float) -> InnerAnalytic:
-    """First-order filtered coefficients a_k -> sinc(k eps) a_k, eps in (0, pi]."""
-    k = np.arange(1, len(w) + 1, dtype=float)
-    return InnerAnalytic(w.coeffs * filter_multiplier(k, KernelSpec(1, eps, "naive")))
+    """First-order filtered coefficients a_k -> sinc(k eps) a_k, eps in (0, pi], as m_k of
+    KernelSpec(1, eps, "naive") from the multiplier table that apply_filter_coeffs reads."""
+    return InnerAnalytic(_filtered(w.coeffs, KernelSpec(1, eps, "naive")))
 
 
 def complex_filter_eval(
@@ -133,15 +128,14 @@ def complex_filter_order_n(
     """Order-N filter with range eps as the binomial superposition of N-th
     logarithmic primitives at the N+1 rotated points z e^{i(1-2n/N)eps}.
 
+    It is the disk realization of KernelSpec(N, eps, "fixed"), whose
+    multipliers sinc(k eps/N)^N it applies, and that spec checks (N, eps).
     Exact integer binomials; refused beyond N = 20 where the (N/2eps)^N
     prefactor makes the superposition numerically meaningless (the
     coefficient-space path is authoritative there).
     """
-    eps = float(eps)
-    if not (0.0 < eps <= np.pi):
-        raise ValueError("eps must lie in (0, pi]")
-    if int(order) != order or order < 0:
-        raise ValueError("order must be a non-negative integer")
+    spec = KernelSpec(order, eps, "fixed")
+    order, eps = spec.order, spec.range_param
     if order > _MAX_EXACT_BINOMIAL_ORDER:
         raise ValueError(
             f"binomial superposition is ill-conditioned beyond N={_MAX_EXACT_BINOMIAL_ORDER}; "
@@ -220,6 +214,5 @@ def save_inner(w: InnerAnalytic, path) -> None:
 
 
 def load_inner(path) -> InnerAnalytic:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return InnerAnalytic(np.asarray(obj["coeffs"], dtype=float))
+    (coeffs,) = _load_json(path, "coeffs")
+    return InnerAnalytic(np.asarray(coeffs, dtype=float))

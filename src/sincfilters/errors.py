@@ -1,5 +1,7 @@
 """Exceptions shared by the filtering modules."""
 
+__all__ = ["FilterRangeError", "NonConvergenceError", "InsufficientOrderError"]
+
 
 class FilterRangeError(ValueError):
     """The filter range is too small for the signal grid."""

@@ -29,8 +29,9 @@ kernel_grid, scaled_kernel_derivative, disk.complex_kernel_eval) and
 kernel_integral read m_1..m_K from a per-process table (_multipliers) of at
 most 2 MiB, a quarter of it per spec, least recently used spec out first,
 with the bits of a fresh filter_multiplier call; the tail rule is memoised
-too.  Filtering coefficients (apply_filter_coeffs, and so the CLI's
-filter and waveform) reads the same table.
+too.  Filtering coefficients reads the same table on both sides of the
+conjugate pair (_filtered): apply_filter_coeffs, and so the CLI's filter
+and waveform, and disk.complex_filter_coeffs.
 """
 
 from __future__ import annotations
@@ -256,11 +257,14 @@ def _multipliers(spec: KernelSpec, K: int) -> np.ndarray:
     return m
 
 
+def _filtered(a: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """a_k * m_k, k = 1..K, with m_k from the table: the filter of both sides of the pair."""
+    return a * _multipliers(spec, a.size) if a.size else a  # _multipliers needs K >= 1
+
+
 def apply_filter_coeffs(coeffs: HarmonicCoefficients, spec: KernelSpec) -> HarmonicCoefficients:
     """Multiply every a_k by the filter's eigenvalue; parity and length kept."""
-    if len(coeffs) == 0:
-        return coeffs
-    return HarmonicCoefficients(coeffs.parity, coeffs.coeffs * _multipliers(spec, len(coeffs)))
+    return HarmonicCoefficients(coeffs.parity, _filtered(coeffs.coeffs, spec))
 
 
 def _fractional_index(x: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

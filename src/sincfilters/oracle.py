@@ -34,8 +34,8 @@ class OracleConfig:
     resolution: int = 2000
 
     def __post_init__(self) -> None:
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
+        if not isinstance(self.resolution, (int, np.integer)) or self.resolution < 2:
+            raise ValueError(f"resolution must be an integer >= 2, got {self.resolution!r}")
 
 
 DEFAULT_ORACLE = OracleConfig()

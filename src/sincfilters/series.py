@@ -12,6 +12,7 @@ points (the standard waveforms' singular points sit on the grid).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -49,6 +50,17 @@ _ROW_BLOCK = 4096
 _GRID_BLOCKS = 4
 
 
+def _resolution(resolution, least: int = 1, name: str = "resolution") -> int:
+    """A size, such as the grid resolution M, as an int; ValueError unless an integer >= least."""
+    try:
+        m = operator.index(resolution)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {resolution!r}") from None
+    if m < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return m
+
+
 @dataclass(frozen=True)
 class EvalOptions:
     """Truncation and quadrature controls shared by the evaluation routines.
@@ -63,15 +75,23 @@ class EvalOptions:
     quad_resolution: int = 2**14
 
     def __post_init__(self) -> None:
-        if self.k_max < 1:
-            raise ValueError("k_max must be a positive integer")
+        _resolution(self.k_max, 1, "k_max")
         if not (self.tail_tol > 0.0 and np.isfinite(self.tail_tol)):
             raise ValueError("tail_tol must be a positive finite real")
-        if self.quad_resolution < 2:
-            raise ValueError("quad_resolution must be >= 2")
+        _resolution(self.quad_resolution, 2, "quad_resolution")
 
 
 DEFAULT_OPTIONS = EvalOptions()
+
+
+def _coefficient_array(coeffs) -> np.ndarray:
+    """a_1..a_K of either side of the pair as floats; ValueError unless 1-D and finite."""
+    arr = np.asarray(coeffs, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("coeffs must be a one-dimensional sequence")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValueError("coefficients must all be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -87,12 +107,7 @@ class HarmonicCoefficients:
     def __post_init__(self) -> None:
         if self.parity not in PARITIES:
             raise ValueError(f"parity must be one of {PARITIES}, got {self.parity!r}")
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("coeffs must be a one-dimensional sequence")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must all be finite")
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _coefficient_array(self.coeffs))
 
     def __len__(self) -> int:
         return int(self.coeffs.size)
@@ -122,17 +137,6 @@ class SampledSignal:
     def value_at(self, j: int) -> float:
         """Grid value with periodic (modulo M) index wrapping."""
         return float(self.values[j % self.resolution])
-
-
-def _resolution(resolution, least: int = 1) -> int:
-    """The grid resolution M as an int; ValueError if it is not an integer or is below least."""
-    try:
-        m = operator.index(resolution)
-    except TypeError:
-        raise ValueError(f"resolution must be an integer, got {resolution!r}") from None
-    if m < least:
-        raise ValueError(f"resolution must be >= {least}")
-    return m
 
 
 def theta_grid(resolution: int) -> np.ndarray:
@@ -224,8 +228,7 @@ def make_waveform(kind: str, k_max: int) -> HarmonicCoefficients:
     sawtooth: sine series,   a_k = -4/(pi k)     for even k, else 0
     triangle: cosine series, a_k = -8/(pi^2 k^2) for odd k, else 0
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    k_max = _resolution(k_max, 1, "k_max")
     k = np.arange(1, k_max + 1, dtype=float)
     odd = (np.arange(1, k_max + 1) % 2) == 1
     if kind == "square":
@@ -252,10 +255,16 @@ def save_coefficients(coeffs: HarmonicCoefficients, path) -> None:
         fh.write(json.dumps({"parity": coeffs.parity, "coeffs": coeffs.coeffs.tolist()}) + "\n")
 
 
-def load_coefficients(path) -> HarmonicCoefficients:
+def _load_json(path, *keys) -> list:
+    """The values at keys, in order, of the JSON object in path: the one coefficient-file reader."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return HarmonicCoefficients(obj["parity"], np.asarray(obj["coeffs"], dtype=float))
+    return [obj[key] for key in keys]
+
+
+def load_coefficients(path) -> HarmonicCoefficients:
+    parity, coeffs = _load_json(path, "parity", "coeffs")
+    return HarmonicCoefficients(parity, np.asarray(coeffs, dtype=float))
 
 
 def _rows(x_cell: str, xs: list) -> str:
@@ -310,16 +319,12 @@ def load_signal(path) -> SampledSignal:
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != "theta,value":
             raise ValueError("expected a theta,value CSV header")
-        body = fh.tell()
-        if not any(row.strip() for row in iter(fh.readline, "")):  # np.loadtxt would warn
+        # drop blank and whitespace-only lines, which np.loadtxt reads as one-cell rows
+        rows = itertools.filterfalse(str.isspace, fh)
+        first = next(rows, None)
+        if first is None:  # np.loadtxt would warn
             raise ValueError("expected at least one theta,value row")
-        fh.seek(body)
-        try:
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:  # np.loadtxt reads a whitespace-only line as a one-cell row
-            fh.seek(body)
-            rows = (row for row in fh if row.strip())
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError("expected theta,value rows of exactly two cells")
     signal = SampledSignal(data[:, 1])

@@ -105,8 +105,10 @@ def test_complex_filter_coeffs_bit_identical_to_sinc():
     a = np.random.default_rng(5).standard_normal(3000)
     k = np.arange(1, a.size + 1, dtype=float)
     for eps in (1e-12, 1e-9, 3e-8, 1e-5, 0.5, np.pi):
-        got = complex_filter_coeffs(InnerAnalytic(a), eps).coeffs
-        np.testing.assert_array_equal(got.view(np.int64), (a * sinc(k * eps)).view(np.int64))
+        want = (a * sinc(k * eps)).view(np.int64)
+        for _ in ("cold", "from the multiplier table"):
+            got = complex_filter_coeffs(InnerAnalytic(a), eps).coeffs
+            np.testing.assert_array_equal(got.view(np.int64), want)
     assert len(complex_filter_coeffs(InnerAnalytic([]), 0.5)) == 0
     with pytest.raises(ValueError):
         complex_filter_coeffs(InnerAnalytic([1.0]), 4.0)
@@ -179,6 +181,9 @@ def test_order_n_superposition_guard():
     assert complex_filter_order_n(w, 0.5, 0, p) == eval_inner(w, p)
     with pytest.raises(ValueError):
         complex_filter_order_n(w, 0.5, 21, p)
+    for eps, order in ((0.0, 1), (4.0, 1), (np.nan, 1), (0.5, -1), (0.5, 1.5)):
+        with pytest.raises(ValueError):  # the checks of KernelSpec(order, eps, "fixed")
+            complex_filter_order_n(w, eps, order, p)
 
 
 def test_order_one_superposition_is_first_order_filter():

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from sincfilters import (
     EvalOptions,
     HarmonicCoefficients,
+    OracleConfig,
     SampledSignal,
     eval_series,
     load_coefficients,
     load_signal,
     make_waveform,
+    oracle_moving_average,
     oracle_series_value,
     render_signal,
     save_coefficients,
@@ -76,6 +78,23 @@ def test_sine_series_vanishes_at_origin():
 def test_k_max_truncation():
     w = HarmonicCoefficients("cosine", [1.0, 1.0, 1.0])
     assert eval_series(w, 0.0, EvalOptions(k_max=2)) == 2.0
+
+
+def test_sizes_must_be_integers():
+    # a float size is refused at once; later it fails as a slice or count, or rounds K up
+    for make, field in ((lambda v: EvalOptions(k_max=v), "k_max"),
+                        (lambda v: make_waveform("square", v), "k_max"),
+                        (lambda v: EvalOptions(quad_resolution=v), "quad_resolution"),
+                        (lambda v: OracleConfig(resolution=v), "resolution")):
+        for bad in (5.5, 64.5, 10.5, 64.0):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                make(bad)
+        make(np.int64(64))
+    w = HarmonicCoefficients("cosine", [1.0, 1.0, 1.0])
+    assert eval_series(w, 0.0, EvalOptions(k_max=np.int64(2))) == 2.0
+    assert oracle_moving_average(np.cos, 0.0, 0.5, OracleConfig(np.int64(10))) > 0.0
+    np.testing.assert_array_equal(make_waveform("square", np.int64(9)).coeffs,
+                                  make_waveform("square", 9).coeffs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,6 +262,18 @@ def test_load_signal_skips_blank_lines(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_bytes(b"theta,value\r\n\r\n-3.141592653589793,1.5\r\n \t\r\n0,2.5\r\n  \r\n")
     np.testing.assert_array_equal(load_signal(path).values, [1.5, 2.5])
+    path.write_bytes(b"theta,value\n \n-3.141592653589793,1.5\n0,2.5\n")  # blank, then a row
+    np.testing.assert_array_equal(load_signal(path).values, [1.5, 2.5])
+    path.write_bytes(b"theta,value\n \n\t\n\n  \r\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least one"):
+            load_signal(path)
+    signal = SampledSignal(np.arange(5000) / 7.0)
+    save_signal(signal, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line + (" \n" if j % 997 == 3 else "") for j, line in enumerate(lines)))
+    np.testing.assert_array_equal(load_signal(path).values, signal.values)
 
 
 def test_oracle_series_agrees_with_eval():

@@ -1,8 +1,8 @@
 """Brute-force reference implementations used by the test suite.
 
 Deliberately independent of the main modules: Simpson quadrature instead of
-trapezoid, function handles instead of grids, math.fsum instead of numpy
-reductions.  Slow is fine here.
+trapezoid and function handles instead of grids.  `oracle_series_value` sums
+with math.fsum instead of numpy reductions.
 """
 
 from __future__ import annotations
@@ -20,8 +20,14 @@ __all__ = [
 ]
 
 _MAX_DEPTH = 6
-# Chunk bound keeps node arrays in the nested quadratures below ~32 MB.
+# Chunk bound keeps the (theta, node) arrays below ~32 MB.
 _CHUNK_ELEMENTS = 4_000_000
+
+
+def _integer(name: str, value, least: int):
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -34,21 +40,35 @@ class OracleConfig:
     resolution: int = 2000
 
     def __post_init__(self) -> None:
-        if not isinstance(self.resolution, (int, np.integer)) or self.resolution < 2:
-            raise ValueError(f"resolution must be an integer >= 2, got {self.resolution!r}")
+        _integer("resolution", self.resolution, 2)
 
 
 DEFAULT_ORACLE = OracleConfig()
 
 
-def _simpson_nodes(eps: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    n = resolution + (resolution % 2)
-    offsets = np.linspace(-eps, eps, n + 1)
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= (2.0 * eps / n) / 3.0
-    return offsets, weights
+def _average(f, theta, stage_ranges, cfg: OracleConfig | None):
+    cfg = cfg or DEFAULT_ORACLE
+    stages = [float(eps) for eps in stage_ranges]
+    if len(stages) > _MAX_DEPTH or not all(0.0 < eps <= math.pi for eps in stages):
+        raise ValueError(f"need at most {_MAX_DEPTH} stages, each eps in (0, pi]: {stages}")
+    n = cfg.resolution + (cfg.resolution % 2)
+    simpson = np.r_[1.0, np.tile([4.0, 2.0], n // 2)[:-1], 1.0]  # 1, 4, 2, ..., 2, 4, 1
+    weights = np.ones(1)
+    for eps in stages:
+        m, rest = divmod(eps, min(stages))
+        if rest or m > 2**_MAX_DEPTH:  # at most 6 * 64 * n + 1 lattice nodes
+            raise ValueError(f"step 2*{eps!r}/n is not an integer multiple <= 64 of the finest step")
+        stage = np.zeros(n * int(m) + 1)
+        stage[:: int(m)] = simpson * ((2.0 * eps / n) / 3.0)
+        weights = np.convolve(weights, stage)
+    offsets = np.linspace(-sum(stages), sum(stages), weights.size)
+    scale = math.prod(2.0 * eps for eps in stages)
+    th = np.asarray(theta, dtype=float)
+    flat, out = th.reshape(-1), np.empty(th.size)
+    chunk = max(1, _CHUNK_ELEMENTS // offsets.size)
+    for lo in range(0, flat.size, chunk):
+        out[lo : lo + chunk] = (f(flat[lo : lo + chunk, None] + offsets) @ weights) / scale
+    return float(out[0]) if th.ndim == 0 else out.reshape(th.shape)
 
 
 def oracle_moving_average(f, theta, eps: float, cfg: OracleConfig | None = None):
@@ -56,40 +76,20 @@ def oracle_moving_average(f, theta, eps: float, cfg: OracleConfig | None = None)
 
     f must accept numpy arrays; theta may be a scalar or an array.
     """
-    cfg = cfg or DEFAULT_ORACLE
-    eps = float(eps)
-    if not (0.0 < eps <= math.pi):
-        raise ValueError("eps must lie in (0, pi]")
-    offsets, weights = _simpson_nodes(eps, cfg.resolution)
-    th = np.asarray(theta, dtype=float)
-    if th.ndim == 0:
-        return float((weights @ f(th + offsets)) / (2.0 * eps))
-    flat = th.reshape(-1)
-    out = np.empty(flat.shape)
-    chunk = max(1, _CHUNK_ELEMENTS // offsets.size)
-    for lo in range(0, flat.size, chunk):
-        t = flat[lo : lo + chunk]
-        out[lo : lo + chunk] = (f(t[:, None] + offsets[None, :]) @ weights) / (2.0 * eps)
-    return out.reshape(th.shape)
+    return _average(f, theta, [eps], cfg)
 
 
 def oracle_iterated_filter(f, theta, stage_ranges, cfg: OracleConfig | None = None):
-    """Nested moving averages, innermost stage last in stage_ranges.
+    """Nested moving averages, innermost stage last, as one composite rule.
 
-    Cost grows as resolution^depth; depth is capped at 6.
+    Stage s's Simpson step 2*eps_s/n must be an integer multiple m_s <= 64
+    of the finest step h (equal and dyadic stages are), else ValueError.
+    The stage weights, zero-stuffed to step m_s*h, are convolved into one
+    rule on the lattice of step h over [-sum eps_s, sum eps_s]: f runs once
+    per node, so its evaluations grow as n*sum(m_s), not n^depth.  Depth is
+    capped at 6.
     """
-    cfg = cfg or DEFAULT_ORACLE
-    stages = list(stage_ranges)
-    if len(stages) > _MAX_DEPTH:
-        raise ValueError(f"recursion depth cap exceeded: {len(stages)} > {_MAX_DEPTH}")
-    if not stages:
-        th = np.asarray(theta, dtype=float)
-        return float(f(th)) if th.ndim == 0 else f(th)
-
-    def inner(t):
-        return oracle_iterated_filter(f, t, stages[1:], cfg)
-
-    return oracle_moving_average(inner, theta, stages[0], cfg)
+    return _average(f, theta, stage_ranges, cfg)
 
 
 def oracle_series_value(parity: str, coeffs, theta: float, k_cap: int | None = None) -> float:
@@ -97,5 +97,5 @@ def oracle_series_value(parity: str, coeffs, theta: float, k_cap: int | None = N
     if parity not in ("cosine", "sine"):
         raise ValueError("parity must be 'cosine' or 'sine'")
     trig = math.cos if parity == "cosine" else math.sin
-    n = len(coeffs) if k_cap is None else min(len(coeffs), k_cap)
+    n = len(coeffs) if k_cap is None else min(len(coeffs), _integer("k_cap", k_cap, 0))
     return math.fsum(coeffs[k - 1] * trig(k * theta) for k in range(1, n + 1))

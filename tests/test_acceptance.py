@@ -147,7 +147,7 @@ def test_c07_oracle_equivalence():
     for k, stages, theta in cases:
         oracle = oracle_iterated_filter(lambda t, k=k: np.cos(k * t), theta, stages, cfg)
         assert abs(oracle - coefficient_path(k, stages, theta)) <= 1e-6, (k, stages)
-    report(7, "oracle equivalence", t0, limit=60.0)
+    report(7, "oracle equivalence", t0, limit=5.0)
 
 
 def test_c08_derivative_self_similarity_and_fd():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -52,6 +53,27 @@ def test_iterated_scaled_stage_product():
     assert got == pytest.approx(expected, abs=1e-8)
 
 
+def test_one_rule_matches_nested_composition():
+    def nested(f, stages, cfg):
+        for eps in reversed(stages):  # innermost stage last
+            f = functools.partial(oracle_moving_average, f, eps=eps, cfg=cfg)
+        return f
+
+    f = lambda t: np.exp(np.sin(t)) + np.cos(3 * t)
+    for stages in ([0.1] * 3, [0.25, 0.125, 0.0625]):
+        for depth in (2, 3):
+            for resolution in (40, 41):
+                cfg = OracleConfig(resolution=resolution)
+                for theta in (0.3, np.linspace(-1.0, 1.0, 5)):
+                    got = oracle_iterated_filter(f, theta, stages[:depth], cfg)
+                    want = nested(f, stages[:depth], cfg)(theta)
+                    assert np.ndim(got) == np.ndim(theta)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    for stages in ([0.5, 0.3], [0.5, 0.5 / 2**7], [0.1, 0.0], [4.0, 0.1]):
+        with pytest.raises(ValueError):
+            oracle_iterated_filter(f, 0.3, stages)
+
+
 def test_depth_cap():
     with pytest.raises(ValueError):
         oracle_iterated_filter(lambda t: t, 0.0, [0.1] * 7)
@@ -70,3 +92,7 @@ def test_series_value_plain_sum():
     assert oracle_series_value("sine", coeffs, theta) == expected
     with pytest.raises(ValueError):
         oracle_series_value("odd", coeffs, theta)
+    with pytest.raises(ValueError):
+        oracle_series_value("sine", coeffs, theta, k_cap=2.5)
+    first_two = math.fsum(c * math.sin((i + 1) * theta) for i, c in enumerate(coeffs[:2]))
+    assert oracle_series_value("sine", coeffs, theta, k_cap=np.int64(2)) == first_two

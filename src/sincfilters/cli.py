@@ -200,10 +200,15 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of `command` alone, or of every command when `command` names none.
+
+    Built afresh on every call on purpose, not cached across calls.
+    """
     parser = _Parser(prog="sincfilters", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags, defaults) in _COMMANDS.items():
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        _, help_text, flags, defaults = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -212,7 +217,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         ns = parser.parse_args(argv)
         return _COMMANDS[ns.command][0](ns)

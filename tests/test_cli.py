@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sincfilters import cli
 from sincfilters.cli import main
 
 
@@ -216,6 +217,35 @@ def test_flag_a_command_does_not_read_is_a_usage_error(command, flag, tmp_path, 
         argv += [f, str(tmp_path / FLAG_VALUES[f]) if f in ("--in", "--out") else FLAG_VALUES[f]]
     assert main(argv) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _parsed(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return f"usage error: {exc}"
+
+
+def test_one_command_parser_parses_as_the_full_parser(tmp_path, monkeypatch, capsys):
+    full = cli._build_parser()
+    for command, reads in READS.items():
+        one = cli._build_parser(command)
+        assert one.format_usage() == f"usage: sincfilters [-h] {{{command}}} ...\n"
+        required = [f for f in ("--in", "--out") if f in reads.split()]
+        for flags in ([], required, reads.split()):
+            argv = [command] + [x for f in flags for x in (f, FLAG_VALUES[f])]
+            assert _parsed(one, argv) == _parsed(full, argv), argv
+    # no command, or none that exists: the full table, and its usage errors
+    assert main([]) == 1
+    assert "required: command" in capsys.readouterr().err
+    assert main(["bogus"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(repr(command) in err for command in cli._COMMANDS)
+    # main(None) reads the process's own arguments
+    monkeypatch.setattr("sys.argv", ["sincfilters", "invariants", "--out", str(tmp_path / "p.csv")])
+    assert main() == 0
+    assert (tmp_path / "p.csv").is_file()
 
 
 def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):

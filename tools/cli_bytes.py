@@ -62,6 +62,7 @@ INVOCATIONS = [
                         ("sine.json", "scaled", "f.csv"))),
     # exit 0 through SystemExit, exit 1 and 2
     "kernel --help",
+    "sweep -h",
     "kernel --N 3 --points 64 --out x.csv",
     "kernel --N 3 --eps 5e-324 --points 64 --out x.csv",
     "kernel --N 0 --points 64 --out x.csv",
@@ -75,6 +76,12 @@ INVOCATIONS = [
     "waveform --N -2 --points 64 --out x.csv",
     "waveform --N 0 --eps 4 --points 64 --out x.csv",
     "kernel --N 3 --tol 1e-30 --kmax 100000000000000000 --points 64 --out o.csv",
+    # no command first: the parser of every command
+    "",
+    "--help",
+    "bogus",
+    "-h kernel",
+    "--eps 0.5 kernel",
 ]
 
 

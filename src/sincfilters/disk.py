@@ -11,14 +11,20 @@ points z*exp(+i eps) and z*exp(-i eps).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .filters import KernelSpec, _filtered, _kernel_series
-from .series import DEFAULT_OPTIONS, EvalOptions, _coefficient_array, _direct_sum, _load_json
+from .series import (
+    DEFAULT_OPTIONS,
+    EvalOptions,
+    _coefficient_array,
+    _direct_sum,
+    _load_json,
+    _save_json,
+)
 
 __all__ = [
     "InnerAnalytic",
@@ -195,10 +201,12 @@ def segment_filter(
     endpoint modulus.
     """
     opts = opts or DEFAULT_OPTIONS
-    half_length = float(half_length)
+    half_length, alpha = float(half_length), float(alpha)
+    if not np.isfinite([z_center, half_length, alpha]).all():
+        raise ValueError("z_center, half_length and alpha must be finite")
     if half_length <= 0.0:
         raise ValueError("half_length must be positive")
-    direction = np.exp(1j * float(alpha))
+    direction = np.exp(1j * alpha)
     ends = np.array([z_center + half_length * direction, z_center - half_length * direction])
     if np.abs(ends).max() >= 1.0:
         raise ValueError("segment escapes the open unit disk")
@@ -209,10 +217,8 @@ def segment_filter(
 
 def save_inner(w: InnerAnalytic, path) -> None:
     """Write {"coeffs": [...]} JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"coeffs": w.coeffs.tolist()}) + "\n")
+    _save_json(path, {"coeffs": w.coeffs.tolist()})
 
 
 def load_inner(path) -> InnerAnalytic:
-    (coeffs,) = _load_json(path, "coeffs")
-    return InnerAnalytic(np.asarray(coeffs, dtype=float))
+    return InnerAnalytic(*_load_json(path, "coeffs"))

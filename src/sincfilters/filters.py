@@ -25,7 +25,7 @@ equal 2^(N(N+1)/2)/(k eps)^N prefactor form, which overflows already for
 moderate N.
 
 m_k depends only on the spec and k, so the kernel series (kernel_eval,
-kernel_grid, scaled_kernel_derivative, disk.complex_kernel_eval) and
+kernel_grid, disk.complex_kernel_eval) and
 kernel_integral read m_1..m_K from a per-process table (_multipliers) of at
 most 2 MiB, a quarter of it per spec, least recently used spec out first,
 with the bits of a fresh filter_multiplier call; the tail rule is memoised
@@ -54,6 +54,7 @@ from .series import (
     _grid_values,
     _mirror,
     _point_values,
+    _pointwise,
     _resolution,
     theta_grid,
 )
@@ -278,7 +279,7 @@ def _fractional_index(x: np.ndarray, resolution: int) -> tuple[np.ndarray, np.nd
     return wraps, idx, t - idx
 
 
-def filter_direct(signal: SampledSignal, eps: float, opts: EvalOptions | None = None) -> SampledSignal:
+def filter_direct(signal: SampledSignal, eps: float) -> SampledSignal:
     """Symmetric moving average (1/2eps) * integral over [theta-eps, theta+eps].
 
     The window integral is taken over the periodic linear interpolant of the
@@ -286,11 +287,9 @@ def filter_direct(signal: SampledSignal, eps: float, opts: EvalOptions | None = 
     at the two fractional endpoints, and an h^2/12 endpoint-slope correction
     (centered-difference slopes) that removes the trapezoid boundary error.
     The result is clipped to [min(signal), max(signal)], which the exact
-    operator satisfies.
+    operator satisfies.  eps in (0, pi] is checked as KernelSpec(1, eps, "naive").
     """
-    eps = float(eps)
-    if not (0.0 < eps <= np.pi):
-        raise ValueError("eps must lie in (0, pi]")
+    eps = KernelSpec(1, eps, "naive").range_param
     v = signal.values
     m = signal.resolution
     h = 2.0 * np.pi / m
@@ -440,29 +439,22 @@ def _closed_form(spec: KernelSpec, deriv: int, caller: str):
     return lambda d: (_box_kernel if spec.order == 1 else _two_box_kernel)(d, *stages)
 
 
-def _kernel_points(spec: KernelSpec, dtheta, opts: EvalOptions | None, deriv: int):
-    """The kernel (deriv 0, at dtheta folded to [0, pi]) or its deriv-th derivative at dtheta."""
-    closed = _closed_form(spec, deriv, "kernel_eval")
-    d = _fold(dtheta) if deriv == 0 else np.asarray(dtheta, dtype=float)
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
-    if closed is not None:
-        out = closed(d)
-    else:
-        const, parity, weights = _kernel_series(spec, deriv, opts or DEFAULT_OPTIONS)
-        out = const + _point_values(weights, d, parity) / np.pi
-    return float(out[0]) if scalar else out
+def kernel_eval(spec: KernelSpec, dtheta, opts: EvalOptions | None = None, deriv: int = 0):
+    """The kernel (deriv = 0) or its deriv-th derivative at separation dtheta (scalar or array).
 
-
-def kernel_eval(spec: KernelSpec, dtheta, opts: EvalOptions | None = None):
-    """Kernel value at separation dtheta (scalar or array).
-
-    N = 1 and N = 2 use the exact closed forms (_closed_form); otherwise the
-    Fourier series is summed, truncated where the rigorous tail bound drops
-    below opts.tail_tol.  Order 0 is the identity's singular kernel and is
-    not evaluable pointwise.
+    N = 1 and N = 2 at deriv 0 use the exact closed forms (_closed_form); otherwise the
+    series, differentiated term by term (N >= deriv + 2), is summed, truncated where the
+    rigorous tail bound drops below opts.tail_tol.  Order 0 is the delta kernel and is not
+    evaluable pointwise.  ValueError unless every angle is finite.
     """
-    return _kernel_points(spec, dtheta, opts, 0)
+    kernel = _closed_form(spec, deriv, "kernel_eval")
+    if kernel is None:
+        const, parity, weights = _kernel_series(spec, deriv, opts or DEFAULT_OPTIONS)
+
+        def kernel(d):
+            return const + _point_values(weights, d, parity) / np.pi
+
+    return _pointwise(dtheta, lambda d: kernel(_fold(d) if deriv == 0 else d))
 
 
 def kernel_grid(

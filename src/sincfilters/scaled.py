@@ -11,16 +11,7 @@ as N = 100 by default throughout the CLI and tests.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .filters import (
-    KernelSpec,
-    _kernel_points,
-    apply_filter_coeffs,
-    filter_multiplier,
-    kernel_eval,
-    total_range,
-)
+from .filters import KernelSpec, apply_filter_coeffs, filter_multiplier, kernel_eval, total_range
 from .series import EvalOptions
 
 __all__ = [
@@ -48,7 +39,8 @@ def ScaledKernelParams(eps: float, steps: int) -> KernelSpec:  # noqa: N802 (pub
 def scaled_kernel_derivative(
     params: KernelSpec, order: int, dtheta, opts: EvalOptions | None = None
 ):
-    """Term-wise n-th derivative of the Fourier series of the kernel params.
+    """kernel_eval(params, dtheta, opts, order), with its arguments in the scaled order:
+    the term-wise order-th derivative of the Fourier series of the kernel params.
 
     Requires steps >= order + 2 so the differentiated series is absolutely
     convergent.  For the scaled kernel it satisfies the half-scale identity
@@ -57,14 +49,12 @@ def scaled_kernel_derivative(
     """
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    return _kernel_points(params, dtheta, opts, order)
+    return kernel_eval(params, dtheta, opts, order)
 
 
 def invariant_points(eps: float) -> list[tuple[float, float]]:
-    """The five (theta, value) pairs fixed by every construction stage."""
-    eps = float(eps)
-    if not (0.0 < eps < np.pi):
-        raise ValueError("eps must lie strictly inside (0, pi)")
+    """The five (theta, value) pairs fixed by every construction stage, eps in (0, pi)."""
+    eps = ScaledKernelParams(eps, 0).range_param
     return [
         (-eps, 0.0),
         (-eps / 2.0, 1.0 / (2.0 * eps)),
@@ -78,11 +68,9 @@ def zero_derivative_points(eps: float, n: int) -> list[float]:
     """Points where every derivative of order >= n vanishes: 2^n + 1 of them.
 
     n = 0 gives the two support ends; n >= 1 gives the regular grid
-    m * eps / 2^(n-1), m = -2^(n-1) .. 2^(n-1).
+    m * eps / 2^(n-1), m = -2^(n-1) .. 2^(n-1), for eps in (0, pi).
     """
-    eps = float(eps)
-    if not (0.0 < eps < np.pi):
-        raise ValueError("eps must lie strictly inside (0, pi)")
+    eps = ScaledKernelParams(eps, 0).range_param
     if int(n) != n or n < 0:
         raise ValueError("n must be a non-negative integer")
     if n == 0:

@@ -208,17 +208,23 @@ def _grid_values(weights: np.ndarray, resolution: int, parity: str) -> np.ndarra
     return _mirror(v, m, sign)
 
 
+def _pointwise(theta, evaluate):
+    """evaluate on theta as a float array of >= 1 dimension: a float for a scalar theta, else
+    theta's shape.  The one angle check off the grid: ValueError unless every angle is finite."""
+    th = np.asarray(theta, dtype=float)
+    if not np.isfinite(th).all():
+        raise ValueError("theta must be finite")
+    vals = evaluate(np.atleast_1d(th))
+    return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
+
+
 def eval_series(coeffs: HarmonicCoefficients, theta: float, opts: EvalOptions | None = None):
     """Evaluate the series at theta, truncated at min(len(coeffs), opts.k_max).
 
     theta may be a scalar (returns float) or an array (returns an array).
     """
-    opts = opts or DEFAULT_OPTIONS
-    th = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(th)):
-        raise ValueError("theta must be finite")
-    vals = _point_values(coeffs.coeffs[: opts.k_max], np.atleast_1d(th), coeffs.parity)
-    return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
+    weights = coeffs.coeffs[: (opts or DEFAULT_OPTIONS).k_max]
+    return _pointwise(theta, lambda th: _point_values(weights, th, coeffs.parity))
 
 
 def make_waveform(kind: str, k_max: int) -> HarmonicCoefficients:
@@ -251,8 +257,13 @@ def render_signal(
 
 def save_coefficients(coeffs: HarmonicCoefficients, path) -> None:
     """Write {"parity": ..., "coeffs": [...]} JSON."""
+    _save_json(path, {"parity": coeffs.parity, "coeffs": coeffs.coeffs.tolist()})
+
+
+def _save_json(path, obj: dict) -> None:
+    """obj as one line of JSON in path: the one coefficient-file writer."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"parity": coeffs.parity, "coeffs": coeffs.coeffs.tolist()}) + "\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def _load_json(path, *keys) -> list:
@@ -263,8 +274,7 @@ def _load_json(path, *keys) -> list:
 
 
 def load_coefficients(path) -> HarmonicCoefficients:
-    parity, coeffs = _load_json(path, "parity", "coeffs")
-    return HarmonicCoefficients(parity, np.asarray(coeffs, dtype=float))
+    return HarmonicCoefficients(*_load_json(path, "parity", "coeffs"))
 
 
 def _rows(x_cell: str, xs: list) -> str:

@@ -277,8 +277,14 @@ def test_segment_filter_linear_and_quadratic():
 
 
 def test_segment_filter_disk_guard():
+    w = InnerAnalytic([1.0])
     with pytest.raises(ValueError):
-        segment_filter(InnerAnalytic([1.0]), 0.8 + 0j, 0.3, 0.0)
+        segment_filter(w, 0.8 + 0j, 0.3, 0.0)
+    nan, inf = np.nan, np.inf
+    for centre, half, alpha in ((complex(nan, 0), 0.1, 0.0), (complex(0, inf), 0.1, 0.0),
+                                (0j, nan, 0.0), (0j, inf, 0.0), (0j, 0.1, nan), (0j, 0.1, inf)):
+        with pytest.raises(ValueError, match="finite"):
+            segment_filter(w, centre, half, alpha)
 
 
 def test_cauchy_riemann_residual():

@@ -359,8 +359,10 @@ def test_filter_direct_eigenfunction_cosine():
 def test_filter_direct_range_guard():
     with pytest.raises(FilterRangeError):
         filter_direct(SampledSignal(np.zeros(16)), 0.5)
-    with pytest.raises(ValueError):
-        filter_direct(SampledSignal(np.zeros(1024)), 0.0)
+    for eps in (0.0, 4.0, np.nan):
+        with pytest.raises(ValueError):
+            filter_direct(SampledSignal(np.zeros(1024)), eps)
+    assert np.array_equal(filter_direct(SampledSignal(np.ones(64)), np.pi).values, np.ones(64))
 
 
 @settings(max_examples=25, deadline=None)
@@ -413,6 +415,23 @@ def test_filter_direct_matches_simpson_oracle():
 def test_kernel_requires_positive_order():
     with pytest.raises(ValueError):
         kernel_eval(KernelSpec(0, 0.5, "naive"), 0.1)
+
+
+@pytest.mark.parametrize(
+    "spec", [KernelSpec(1, 0.5, "naive"), KernelSpec(2, 0.5), KernelSpec(8, 0.5, "gaussian")]
+)
+def test_kernel_eval_angles(spec):
+    # closed forms (N = 1, 2) and the series alike: finite angles only, scalar in, float out
+    opts = EvalOptions(tail_tol=1e-9)
+    for bad in (np.nan, np.inf, -np.inf, [0.1, np.nan]):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            kernel_eval(spec, bad, opts)
+    assert type(kernel_eval(spec, 0.1, opts)) is float
+    assert type(kernel_eval(spec, np.float64(0.1), opts)) is float
+    grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    values = kernel_eval(spec, grid, opts)
+    assert values.shape == (3, 4)
+    assert np.array_equal(values.ravel(), kernel_eval(spec, grid.ravel(), opts))
 
 
 def test_box_kernel_values():
@@ -710,6 +729,8 @@ def test_derivative_order_must_be_a_non_negative_integer(deriv):
         kernel_grid(spec, 64, deriv=deriv)
     with pytest.raises(ValueError):
         scaled_kernel_derivative(spec, deriv, 0.1)
+    with pytest.raises(ValueError):
+        kernel_eval(spec, 0.1, deriv=deriv)
 
 
 @pytest.mark.parametrize("order", [1, 2, 100])
@@ -736,6 +757,14 @@ def test_kernel_grid_derivatives_match_direct_sum(deriv):
     got = kernel_grid(spec, 1024, deriv=deriv)
     direct = scaled_kernel_derivative(spec, deriv, theta_grid(1024)[rows])
     assert np.abs(got[rows] - direct).max() <= 1e-12 * np.abs(got).max()
+    assert np.array_equal(direct, kernel_eval(spec, theta_grid(1024)[rows], deriv=deriv))
+    fixed = KernelSpec(8, 0.5, "fixed")
+    got = kernel_grid(fixed, 1024, deriv=deriv)
+    direct = kernel_eval(fixed, theta_grid(1024)[rows], deriv=deriv)
+    assert np.abs(got[rows] - direct).max() <= 1e-12 * np.abs(got).max()
+    for bad in (np.nan, np.inf, [0.1, np.nan]):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            scaled_kernel_derivative(spec, deriv, bad)
 
 
 @pytest.mark.parametrize("resolution", [1024, 1023])

@@ -106,6 +106,9 @@ def test_invariant_points_listing():
     assert centre == pytest.approx(2 / np.pi, abs=1e-16)
     thetas = [p[0] for p in pts]
     assert thetas == [-t for t in reversed(thetas)]
+    for eps in (0.0, np.pi, 4.0, np.nan):
+        with pytest.raises(ValueError):
+            invariant_points(eps)
 
 
 def test_invariance_under_construction():
@@ -206,6 +209,9 @@ def test_zero_derivative_point_sets():
     np.testing.assert_allclose(
         zero_derivative_points(eps, 2), [-0.5, -0.25, 0.0, 0.25, 0.5], atol=0
     )
+    for bad in (0.0, np.pi, 4.0, np.nan):
+        with pytest.raises(ValueError):
+            zero_derivative_points(bad, 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -78,6 +78,9 @@ def test_sine_series_vanishes_at_origin():
 def test_k_max_truncation():
     w = HarmonicCoefficients("cosine", [1.0, 1.0, 1.0])
     assert eval_series(w, 0.0, EvalOptions(k_max=2)) == 2.0
+    assert type(eval_series(w, np.float64(0.0))) is float
+    grid = np.zeros((2, 3))
+    np.testing.assert_array_equal(eval_series(w, grid, EvalOptions(k_max=2)), np.full((2, 3), 2.0))
 
 
 def test_sizes_must_be_integers():
@@ -163,8 +166,9 @@ def test_invalid_inputs_rejected(tmp_path):
         HarmonicCoefficients("cos", [1.0])
     with pytest.raises(ValueError):
         HarmonicCoefficients("cosine", [np.nan])
-    with pytest.raises(ValueError):
-        eval_series(HarmonicCoefficients("cosine", [1.0]), np.inf)
+    for bad in (np.inf, np.nan, [0.1, np.nan]):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            eval_series(HarmonicCoefficients("cosine", [1.0]), bad)
     with pytest.raises(ValueError):
         render_signal(HarmonicCoefficients("cosine", [1.0]), 1)
     one_cell = tmp_path / "one_cell.csv"

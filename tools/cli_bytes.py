@@ -75,6 +75,8 @@ INVOCATIONS = [
     "filter --in missing.json --out x.json",
     "waveform --N -2 --points 64 --out x.csv",
     "waveform --N 0 --eps 4 --points 64 --out x.csv",
+    "invariants --eps 4 --out p.csv",
+    "invariants --eps 3.141592653589793 --out p.csv",
     "kernel --N 3 --tol 1e-30 --kmax 100000000000000000 --points 64 --out o.csv",
     # no command first: the parser of every command
     "",

@@ -64,6 +64,8 @@ def _average(f, theta, stage_ranges, cfg: OracleConfig | None):
     offsets = np.linspace(-sum(stages), sum(stages), weights.size)
     scale = math.prod(2.0 * eps for eps in stages)
     th = np.asarray(theta, dtype=float)
+    if not np.isfinite(th).all():
+        raise ValueError("theta must be finite")
     flat, out = th.reshape(-1), np.empty(th.size)
     chunk = max(1, _CHUNK_ELEMENTS // offsets.size)
     for lo in range(0, flat.size, chunk):
@@ -96,6 +98,8 @@ def oracle_series_value(parity: str, coeffs, theta: float, k_cap: int | None = N
     """Plain partial sum with math.fsum; no numpy, no shared evaluation code."""
     if parity not in ("cosine", "sine"):
         raise ValueError("parity must be 'cosine' or 'sine'")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     trig = math.cos if parity == "cosine" else math.sin
     n = len(coeffs) if k_cap is None else min(len(coeffs), _integer("k_cap", k_cap, 0))
     return math.fsum(coeffs[k - 1] * trig(k * theta) for k in range(1, n + 1))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -151,24 +152,46 @@ def _thetas(j: np.ndarray, resolution: int) -> np.ndarray:
 
 
 def _phases(points: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The points-by-k products; for one point they overwrite k, which has the points' dtype."""
+    """The points-by-k products; for one point they overwrite k."""
     if points.size == 1:
         return np.multiply(points.ravel(), k, out=k).reshape(points.shape + k.shape)
     return np.multiply.outer(points, k)
 
 
 def _direct_sum(weights: np.ndarray, points: np.ndarray, term) -> np.ndarray:
-    """sum_k weights[k-1] * term(k x) at every point x, for term np.cos, np.sin or np.exp.
+    """sum_k weights[k-1] * term(k x) at every real point x, for term np.cos or np.sin.
 
     Blocks of k keep the points-by-k matrix below _CHUNK_BYTES; their sums are added in order.
     """
-    total = np.zeros(points.shape, dtype=points.dtype)
+    total = np.zeros(points.shape)
     step = max(1, _CHUNK_BYTES // (points.itemsize * max(points.size, 1)))
     for lo in range(0, weights.size, step):
-        k = np.arange(lo + 1, min(lo + step, weights.size) + 1, dtype=points.dtype)
+        k = np.arange(lo + 1, min(lo + step, weights.size) + 1, dtype=float)
         x = _phases(points, k)
         total += term(x, out=x) @ weights[lo : lo + k.size]
     return total
+
+
+def _power_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k weights[k-1] * exp(k x), k = 1..K, at every complex point x, by baby and giant steps.
+
+    With B = isqrt(K + 1) and k = B q + r, 0 <= r < B, the sum is
+    sum_q exp(B q x) * sum_r w_(Bq+r) exp(r x) (Paterson and Stockmeyer,
+    SIAM J. Comput. 2, 1973): about 2 sqrt(K) exponentials per point and one
+    real matrix product of the zero-padded weights, as rows x B, with the
+    baby powers viewed as real and imaginary columns.  Each power is one
+    exp of one rounded product, as in exp(k x).  Memory is O(K + sqrt(K) P)
+    for P points.
+    """
+    flat = x.ravel()
+    b = math.isqrt(weights.size + 1)
+    rows = -(-(weights.size + 1) // b)
+    padded = np.zeros(rows * b)
+    padded[1 : weights.size + 1] = weights
+    baby = np.exp(np.multiply.outer(np.arange(b, dtype=float), flat))
+    giant = np.exp(np.multiply.outer(np.arange(0, rows * b, b, dtype=float), flat))
+    inner = (padded.reshape(rows, b) @ baby.view(float)).view(complex)
+    return (giant * inner).sum(axis=0).reshape(x.shape)
 
 
 def _point_values(weights: np.ndarray, thetas: np.ndarray, parity: str) -> np.ndarray:

@@ -59,6 +59,55 @@ def test_zero_point_is_exact_without_warnings():
         assert segment_filter(w, 0.25 + 0j, 0.25, 0.0) == pytest.approx(1 / 12, abs=1e-16)
 
 
+@pytest.mark.parametrize(
+    "K, k_max", [(K, K) for K in (1, 2, 3, 15, 16, 17, 255, 256, 257, 4096)] + [(300, 257)]
+)
+def test_taylor_sum_rounding_contract(K, k_max):
+    # 2^-53 * sum_k |a_k| rho^k (1 + k) bounds the sum's rounding and the phase error of
+    # fl(k log z), in either summation order; K straddles the squares where isqrt(K + 1) steps
+    import mpmath as mp
+
+    from sincfilters.disk import _taylor_sum
+
+    rng = np.random.default_rng(K)
+    a = rng.normal(size=K)
+    k = np.arange(1, k_max + 1)
+    for rho in (0.5, 0.999, 1.0):
+        z = rho * np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
+        got = _taylor_sum(a, z, k_max)
+        for zj, gj in zip(z, got):
+            scale = np.sum(np.abs(a[:k_max]) * abs(zj) ** k * (1 + k))
+            with mp.workdps(40):
+                exact = mp.polyval([float(c) for c in a[k_max - 1 :: -1]] + [0], mp.mpc(zj))
+                assert abs(mp.mpc(gj) - exact) <= 2 * 2.0**-53 * scale
+
+
+def test_taylor_sum_zero_point_and_empty_series():
+    from sincfilters.disk import _taylor_sum
+
+    a = np.random.default_rng(1).normal(size=100)
+    got = _taylor_sum(a, np.array([0j, 0.5 + 0.1j]), 100)
+    assert got[0] == 0 and got[1] != 0
+    assert eval_inner(InnerAnalytic([]), DiskPoint(0.7, 0.3)) == 0
+
+
+def test_taylor_sum_allocates_one_harmonic_array():
+    import tracemalloc
+
+    from sincfilters.disk import _taylor_sum
+
+    K = 2**16
+    coeffs = np.random.default_rng(3).normal(size=K)
+    z = np.array([0.999 * np.exp(0.7j)])
+    tracemalloc.start()
+    try:
+        _taylor_sum(coeffs, z, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * K  # one zero-padded copy of the weights, plus O(sqrt(K)) powers
+
+
 def test_log_derivative_and_primitive_examples():
     np.testing.assert_array_equal(log_derivative(InnerAnalytic([1.0])).coeffs, [1.0])
     np.testing.assert_array_equal(log_derivative(InnerAnalytic([0.0, 1.0])).coeffs, [0.0, 2.0])

@@ -96,3 +96,14 @@ def test_series_value_plain_sum():
         oracle_series_value("sine", coeffs, theta, k_cap=2.5)
     first_two = math.fsum(c * math.sin((i + 1) * theta) for i, c in enumerate(coeffs[:2]))
     assert oracle_series_value("sine", coeffs, theta, k_cap=np.int64(2)) == first_two
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
+def test_non_finite_angles_raise(theta):
+    with pytest.raises(ValueError):
+        oracle_moving_average(np.cos, theta, 0.3)
+    with pytest.raises(ValueError):
+        oracle_iterated_filter(np.cos, theta, [0.3, 0.15])
+    if np.ndim(theta) == 0:
+        with pytest.raises(ValueError):
+            oracle_series_value("cosine", [1.0, 0.5], theta)

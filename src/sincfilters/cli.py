@@ -225,7 +225,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, InsufficientOrderError, OSError, MemoryError) as exc:
+    except (ValueError, InsufficientOrderError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonConvergenceError as exc:

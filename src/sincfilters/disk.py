@@ -8,9 +8,9 @@ w over the arc of angular half-length eps at constant rho, realized through
 the logarithmic primitive (coefficients a_k / k) evaluated at the rotated
 points z*exp(+i eps) and z*exp(-i eps).
 
-Every value here is one Taylor sum, sum_k a_k exp(k log z), taken by the
-power sum of the series module by baby and giant steps: about 2 sqrt(K)
-complex exponentials per point instead of K.
+Every value is one Taylor sum sum_k a_k exp(k x) by the power sum that also sums
+both real sides off the grid: at x = log rho + i theta on a circle, so at rho = 1
+it is eval_series' cosine + i sine bit for bit, and at x = log z on a segment.
 """
 
 from __future__ import annotations
@@ -83,11 +83,13 @@ def _taylor_sum(coeffs: np.ndarray, z: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def _on_circle(coeffs: np.ndarray, p: DiskPoint, angles, opts: EvalOptions | None) -> np.ndarray:
-    """sum_k a_k z^k at z = rho exp(i (theta + angle)) for each angle, rho <= 1."""
+    """sum_k a_k z^k at z = rho exp(i (theta + angle)) for each angle, rho <= 1, by x = log z."""
     if p.rho > 1.0:
         raise ValueError(f"radius out of range: rho = {p.rho} > 1")
-    z = p.rho * np.exp(1j * (p.theta + np.asarray(angles, dtype=float)))
-    return _taylor_sum(coeffs, z, (opts or DEFAULT_OPTIONS).k_max)
+    if p.rho == 0.0:  # w(0) = 0
+        return np.zeros(np.shape(angles), dtype=complex)
+    x = math.log(p.rho) + 1j * (p.theta + np.asarray(angles, dtype=float))
+    return _power_sum(coeffs[: (opts or DEFAULT_OPTIONS).k_max], x)
 
 
 def eval_inner(w: InnerAnalytic, p: DiskPoint, opts: EvalOptions | None = None) -> complex:

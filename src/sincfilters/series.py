@@ -40,7 +40,7 @@ PARITIES = ("cosine", "sine")
 
 WAVEFORMS = ("square", "sawtooth", "triangle")
 
-# Keep the temporary term matrices of a direct summation below 32 MB.
+# The power sum keeps the baby and giant power tables of each block of points below 32 MB.
 _CHUNK_BYTES = 2**25
 
 # load_signal accepts a theta within this fraction of the grid step of theta_j.
@@ -151,27 +151,6 @@ def _thetas(j: np.ndarray, resolution: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * j / resolution
 
 
-def _phases(points: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The points-by-k products; for one point they overwrite k."""
-    if points.size == 1:
-        return np.multiply(points.ravel(), k, out=k).reshape(points.shape + k.shape)
-    return np.multiply.outer(points, k)
-
-
-def _direct_sum(weights: np.ndarray, points: np.ndarray, term) -> np.ndarray:
-    """sum_k weights[k-1] * term(k x) at every real point x, for term np.cos or np.sin.
-
-    Blocks of k keep the points-by-k matrix below _CHUNK_BYTES; their sums are added in order.
-    """
-    total = np.zeros(points.shape)
-    step = max(1, _CHUNK_BYTES // (points.itemsize * max(points.size, 1)))
-    for lo in range(0, weights.size, step):
-        k = np.arange(lo + 1, min(lo + step, weights.size) + 1, dtype=float)
-        x = _phases(points, k)
-        total += term(x, out=x) @ weights[lo : lo + k.size]
-    return total
-
-
 def _power_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k weights[k-1] * exp(k x), k = 1..K, at every complex point x, by baby and giant steps.
 
@@ -180,23 +159,33 @@ def _power_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     SIAM J. Comput. 2, 1973): about 2 sqrt(K) exponentials per point and one
     real matrix product of the zero-padded weights, as rows x B, with the
     baby powers viewed as real and imaginary columns.  Each power is one
-    exp of one rounded product, as in exp(k x).  Memory is O(K + sqrt(K) P)
-    for P points.
+    exp of one rounded product, as in exp(k x).  Blocks of points keep the
+    power tables of the baby and giant steps below _CHUNK_BYTES.
     """
     flat = x.ravel()
     b = math.isqrt(weights.size + 1)
     rows = -(-(weights.size + 1) // b)
-    padded = np.zeros(rows * b)
-    padded[1 : weights.size + 1] = weights
-    baby = np.exp(np.multiply.outer(np.arange(b, dtype=float), flat))
-    giant = np.exp(np.multiply.outer(np.arange(0, rows * b, b, dtype=float), flat))
-    inner = (padded.reshape(rows, b) @ baby.view(float)).view(complex)
-    return (giant * inner).sum(axis=0).reshape(x.shape)
+    padded = np.zeros((rows, b))
+    padded.ravel()[1 : weights.size + 1] = weights
+
+    def block_sum(block):  # its tables are freed before the next block's are made
+        baby = np.multiply.outer(np.arange(b, dtype=float), block)
+        giant = np.multiply.outer(np.arange(0, rows * b, b, dtype=float), block)
+        inner = (padded @ np.exp(baby, out=baby).view(float)).view(complex)
+        inner *= np.exp(giant, out=giant)
+        return inner.sum(axis=0)
+
+    total = np.empty(flat.shape, dtype=complex)
+    step = max(1, _CHUNK_BYTES // (total.itemsize * (b + rows)))
+    for lo in range(0, flat.size, step):
+        total[lo : lo + step] = block_sum(flat[lo : lo + step])
+    return total.reshape(x.shape)
 
 
 def _point_values(weights: np.ndarray, thetas: np.ndarray, parity: str) -> np.ndarray:
-    """sum_k weights[k-1] * cos(k theta) (or sin) at arbitrary angles, summed directly."""
-    return _direct_sum(weights, thetas, np.cos if parity == "cosine" else np.sin)
+    """sum_k weights[k-1] * cos(k theta) (or sin) at any angles: Re (or Im) of the power sum."""
+    values = _power_sum(weights, 1j * thetas)
+    return values.real if parity == "cosine" else values.imag
 
 
 def _mirror(half: np.ndarray, resolution: int, sign: float = 1.0) -> np.ndarray:
@@ -290,10 +279,16 @@ def _save_json(path, obj: dict) -> None:
 
 
 def _load_json(path, *keys) -> list:
-    """The values at keys, in order, of the JSON object in path: the one coefficient-file reader."""
+    """The values at keys, in order, of the JSON object in path: the one coefficient-file reader.
+    ValueError unless "coeffs" is a list of JSON numbers (not strings, booleans or null)."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return [obj[key] for key in keys]
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    values = [obj[key] for key in keys]
+    if not (isinstance(obj["coeffs"], list) and {*map(type, obj["coeffs"])} <= {int, float}):
+        raise ValueError('"coeffs" must be a list of JSON numbers')
+    return values
 
 
 def load_coefficients(path) -> HarmonicCoefficients:

@@ -77,6 +77,21 @@ def test_filter_command_roundtrip(tmp_path):
     assert data[0, 1] == pytest.approx(0.98961583701809172**2, abs=1e-14)
 
 
+@pytest.mark.parametrize("content", [[1, 2, 3],
+                                     {"parity": "cosine", "coeffs": ["1", True]},
+                                     {"parity": "cosine", "coeffs": [1.5, True]},
+                                     {"parity": "cosine", "coeffs": [1.5, 10**400]}])
+def test_filter_malformed_coefficient_file(content, tmp_path, capsys):
+    # a non-object, entries that are not JSON numbers, and an integer past the float range:
+    # one error line rather than a traceback, or a boolean or string read as 1.0
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    assert main(["filter", "--in", str(path), "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_invariants_command(tmp_path):
     out = tmp_path / "pts.csv"
     assert main(["invariants", "--eps", "0.5", "--out", str(out)]) == 0

@@ -80,6 +80,17 @@ def test_taylor_sum_rounding_contract(K, k_max):
             with mp.workdps(40):
                 exact = mp.polyval([float(c) for c in a[k_max - 1 :: -1]] + [0], mp.mpc(zj))
                 assert abs(mp.mpc(gj) - exact) <= 2 * 2.0**-53 * scale
+    # both real sides off the grid take the same power sum, at x = i theta
+    thetas = rng.uniform(-np.pi, np.pi, size=2)
+    scale = np.sum(np.abs(a[:k_max]) * (1 + k))
+    opts = EvalOptions(k_max=k_max)
+    cos_side, sin_side = (eval_series(HarmonicCoefficients(parity, a), thetas, opts)
+                          for parity in ("cosine", "sine"))
+    for th, cj, sj in zip(thetas, cos_side, sin_side):
+        with mp.workdps(40):
+            exact = mp.polyval([float(c) for c in a[k_max - 1 :: -1]] + [0], mp.expj(th))
+            assert abs(cj - exact.real) <= 2 * 2.0**-53 * scale
+            assert abs(sj - exact.imag) <= 2 * 2.0**-53 * scale
 
 
 def test_taylor_sum_zero_point_and_empty_series():
@@ -362,6 +373,10 @@ def test_boundary_consistency_with_series():
         assert inner.real == pytest.approx(eval_series(coeffs, theta), abs=1e-6)
         sine_side = HarmonicCoefficients("sine", coeffs.coeffs)
         assert inner.imag == pytest.approx(eval_series(sine_side, theta), abs=1e-6)
+        # on the circle both sides and the disk are one power sum at x = i theta
+        inner = eval_inner(w, DiskPoint(1.0, theta))
+        assert inner.real == eval_series(coeffs, theta)
+        assert inner.imag == eval_series(sine_side, theta)
 
 
 def test_inner_json_roundtrip(tmp_path):

@@ -317,18 +317,6 @@ def test_grid_engine_aliasing_matches_direct_sum():
     np.testing.assert_allclose(got[rows], direct, rtol=0, atol=1e-11)
 
 
-def test_one_point_phases_are_the_outer_product():
-    # one point writes its products over k; the bits are those of the outer product
-    from sincfilters.series import _phases
-
-    for point in (np.array([2.3]), np.array([[-0.7]]), np.log(np.array([0.99 * np.exp(2j)]))):
-        k = np.arange(1, 5001, dtype=point.dtype)
-        want = np.multiply.outer(point, k)
-        got = _phases(point, k)
-        assert got.shape == want.shape and np.shares_memory(got, k)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-
 def test_grid_values_allocates_two_harmonic_arrays():
     import tracemalloc
 
@@ -343,6 +331,23 @@ def test_grid_values_allocates_two_harmonic_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * K  # the signed weights and the bin indices, plus O(M)
+
+
+def test_point_values_keep_power_tables_within_chunk_bound():
+    import tracemalloc
+
+    from sincfilters.series import _CHUNK_BYTES
+
+    K = P = 2**14
+    w = HarmonicCoefficients("cosine", np.random.default_rng(3).normal(size=K))
+    thetas = np.random.default_rng(4).uniform(-np.pi, np.pi, size=P)
+    tracemalloc.start()
+    try:
+        eval_series(w, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * _CHUNK_BYTES  # blocks of points; the unblocked tables take over 4x
 
 
 @pytest.mark.parametrize("resolution", [4096, 4095])

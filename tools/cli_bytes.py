@@ -9,7 +9,10 @@ directory under one temporary directory.  For each invocation the script
 prints one line per compared item, `same` or `differs`: the exit code,
 stdout, stderr and every file the run wrote.  Tree paths are replaced by
 `<src>` before stdout and stderr are compared, so a traceback reads the same
-from either tree.
+from either tree.  Under each text item that differs (stdout, stderr, a CSV
+or JSON file) it prints the first SHOWN differing lines by line number: the
+old tree's, or the fresh run's, after `-`, then the new tree's, or the
+replay's, after `+`.
 
 Then each tree replays the whole list in one process, through `cli.main`,
 each invocation again in its own directory, and every item is compared with
@@ -21,6 +24,7 @@ only; the trees need numpy.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -31,6 +35,7 @@ from pathlib import Path
 COEFFS = {"coeffs.json": {"parity": "cosine", "coeffs": [1.0 / k for k in range(1, 257)]},
           "sine.json": {"parity": "sine", "coeffs": [(-1.0) ** k / k**2 for k in range(1, 65)]}}
 
+SHOWN = 5  # differing lines printed per text item
 SMALL = "--points 256"
 INVOCATIONS = [
     # the README's CLI lines
@@ -152,12 +157,23 @@ def replay(src: Path, cwds: list[Path]) -> list[dict]:
             for cwd, (code, out, err) in zip(cwds, map(json.loads, lines), strict=True)]
 
 
+def show_lines(old: bytes | None, new: bytes | None) -> None:
+    """The first SHOWN lines at which two texts differ; a missing line or item reads <none>."""
+    sides = ((data or b"").decode("utf-8", "replace").splitlines() for data in (old, new))
+    pairs = itertools.zip_longest(*sides, fillvalue="<none>")
+    differing = ((n, a, b) for n, (a, b) in enumerate(pairs, 1) if a != b)
+    for n, a, b in itertools.islice(differing, SHOWN):
+        print(f"           line {n}\n             - {a[:200]}\n             + {b[:200]}")
+
+
 def compare(i: int, label: str, old: dict, new: dict) -> int:
     differ = 0
     for key in sorted(old.keys() | new.keys()):
         same = old.get(key) == new.get(key)
         differ += not same
         print(f"{'same   ' if same else 'differs'}  [{i:2d}] {label + key:<35} {INVOCATIONS[i]}")
+        if not same and (key in ("stdout", "stderr") or key.endswith((".csv", ".json"))):
+            show_lines(old.get(key), new.get(key))
     return differ
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import KernelSpec, _filtered, _kernel_series
+from .filters import KernelSpec, _filtered, _plan
 from .series import (
     DEFAULT_OPTIONS,
     EvalOptions,
@@ -182,9 +182,9 @@ def complex_kernel_eval(
     r = p.rho / rho1
     if r == 0.0:
         return complex(1.0 / (2.0 * np.pi))
-    const, _, mult = _kernel_series(spec, 0, opts, radius=r)
-    value = _on_circle(mult, DiskPoint(r, p.theta - theta1), [0.0], opts)[0]
-    return const + complex(value) / np.pi
+    plan = _plan(spec, 0, opts, "complex_kernel_eval", radius=r)
+    value = _on_circle(plan.weights, DiskPoint(r, p.theta - theta1), [0.0], opts)[0]
+    return plan.const + complex(value) / np.pi
 
 
 def segment_filter(

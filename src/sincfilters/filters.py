@@ -24,14 +24,14 @@ scaled, m_k is the running product over the stages, never the algebraically
 equal 2^(N(N+1)/2)/(k eps)^N prefactor form, which overflows already for
 moderate N.
 
-m_k depends only on the spec and k, so the kernel series (kernel_eval,
-kernel_grid, disk.complex_kernel_eval) and
-kernel_integral read m_1..m_K from a per-process table (_multipliers) of at
-most 2 MiB, a quarter of it per spec, least recently used spec out first,
-with the bits of a fresh filter_multiplier call; the tail rule is memoised
-too.  Filtering coefficients reads the same table on both sides of the
-conjugate pair (_filtered): apply_filter_coeffs, and so the CLI's filter
-and waveform, and disk.complex_filter_coeffs.
+One plan (_plan) makes every decision of a kernel evaluation: argument
+checks, closed form or series, K and signed weights.  m_k depends only on
+the spec and k, so it and kernel_integral read m_1..m_K from a per-process
+table (_multipliers) of at most 2 MiB, a quarter of it per spec, least
+recently used spec out first, with the bits of a fresh filter_multiplier
+call; the tail rule is memoised too.  Filtering coefficients reads the same
+table on both sides of the conjugate pair (_filtered): apply_filter_coeffs,
+and so the CLI's filter and waveform, and disk.complex_filter_coeffs.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if int(self.order) != self.order or self.order < 0:
+        if self.order in (math.inf, -math.inf) or int(self.order) != self.order or self.order < 0:
             raise ValueError("order must be a non-negative integer")
         object.__setattr__(self, "order", int(self.order))
         eps = float(self.range_param)
@@ -127,7 +128,7 @@ class KernelSpec:
 class _Periodised(KernelSpec):
     """A spec whose total range may exceed pi: its kernel is the series wrapped on the period.
 
-    It has no compact support, so it has no closed form (_closed_form) and takes the series.
+    It has no compact support, so its plan (_plan) takes the series, never a closed form.
     """
 
     def _check_total_range(self) -> None:
@@ -329,14 +330,13 @@ def _fold(dtheta) -> np.ndarray:
     return np.where(d > np.pi, 2.0 * np.pi - d, d)
 
 
-def _box_kernel(d: np.ndarray, half_width: float) -> np.ndarray:
-    """First-order kernel: 1/(2a) inside, 0 outside, lateral-limit average at the edge."""
-    a = half_width
-    return np.where(d < a, 1.0 / (2.0 * a), np.where(d == a, 1.0 / (4.0 * a), 0.0))
-
-
-def _two_box_kernel(d: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Convolution of boxes with half-widths a >= b: overlap / (4ab)."""
+def _box_kernel(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
+    """The exact kernel at folded d for N <= 2: a box, 1/(2a) inside, 0 outside and the
+    lateral-limit average at the edge, or two boxes a >= b convolved, overlap / (4ab)."""
+    if spec.order == 1:
+        (a,) = _stages(spec)
+        return np.where(d < a, 1.0 / (2.0 * a), np.where(d == a, 1.0 / (4.0 * a), 0.0))
+    a, b = _stages(spec)
     overlap = np.minimum(d + b, a) - np.maximum(d - b, -a)
     return np.clip(overlap, 0.0, None) / (4.0 * a * b)
 
@@ -400,61 +400,64 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float 
     return int(k_need)
 
 
-def _kernel_series(
-    spec: KernelSpec, deriv: int, opts: EvalOptions, radius: float = 1.0
-) -> tuple[float, str, np.ndarray]:
-    """The kernel's deriv-th derivative as c + (1/pi) * sum_k w_k trig(k theta).
+class _Plan(NamedTuple):
+    """One kernel evaluation: the closed form if there is one, else the series const +
+    (1/pi) * sum_k weights[k-1] trig(k theta), trig = cos or sin by parity, K = weights.size."""
 
-    Returns (c, parity of trig, w) with K cut by the tail rule, for terms
-    that also carry r^k when the radius ratio r is below 1.  The n-th
-    derivative of cos(k theta) cycles through -k^n sin, -k^n cos, +k^n sin,
-    +k^n cos, so w_k = +-k^deriv m_k on cos (even deriv) or sin (odd deriv).
-    A derivative needs N >= deriv + 2 for its series to converge absolutely.
+    const: float
+    parity: str
+    weights: np.ndarray
+    closed: functools.partial | None = None
+
+    def at(self, d: np.ndarray) -> np.ndarray:
+        """The values at angles d, folded to [0, pi] for a closed form."""
+        if self.closed is not None:
+            return self.closed(d)
+        return self.const + _point_values(self.weights, d, self.parity) / np.pi
+
+    def grid(self, m: int) -> np.ndarray:
+        """The values on theta_j = -pi + 2*pi*j/M: a closed form on j <= M/2, mirrored."""
+        if self.closed is not None:
+            return _mirror(self.closed(_fold(theta_grid(m)[: m // 2 + 1])), m)
+        return self.const + _grid_values(self.weights, m, self.parity) / np.pi
+
+
+def _plan(spec: KernelSpec, deriv: int, opts: EvalOptions, caller: str, radius: float = 1.0):
+    """The _Plan of the kernel's deriv-th derivative, with terms r^k at radius ratio r.
+
+    Checks deriv >= 0 is an integer, order >= 1 at deriv 0 and r = 1 (order 0 is the
+    delta kernel), and N >= deriv + 2 for absolute convergence.  Only N <= 2 at deriv 0
+    and r = 1 has a closed form, not a _Periodised spec.  Else K is the tail rule's and
+    w_k = +-k^deriv m_k: d^n/dtheta^n cos(k theta) cycles -k^n sin, -k^n cos, +k^n sin, +k^n cos.
     """
+    deriv = _resolution(deriv, 0, "derivative order")
+    if deriv == 0 and spec.order < 1 and radius == 1.0:
+        raise ValueError(f"{caller} requires order >= 1 (order 0 is the delta kernel)")
     if deriv >= 1 and spec.order < deriv + 2:
         raise InsufficientOrderError(
             f"derivative of order {deriv} needs steps >= {deriv + 2}, got {spec.order}"
         )
+    const = 1.0 / (2.0 * np.pi) if deriv == 0 else 0.0
+    if deriv == 0 and spec.order <= 2 and radius == 1.0 and not isinstance(spec, _Periodised):
+        return _Plan(const, "cosine", _NO_MULTIPLIERS, functools.partial(_box_kernel, spec))
     K = _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius)
     weights = _multipliers(spec, K)
     if deriv:
         k = np.arange(1, K + 1, dtype=float)
         weights = (1.0, -1.0, -1.0, 1.0)[deriv % 4] * k**deriv * weights
-    return (1.0 / (2.0 * np.pi) if deriv == 0 else 0.0), PARITIES[deriv % 2], weights
-
-
-def _closed_form(spec: KernelSpec, deriv: int, caller: str):
-    """The one path choice: the exact kernel d -> K(d) on folded angles, or None for the series.
-
-    Only N <= 2 at deriv 0 has one (a box, two boxes convolved), and not a _Periodised spec.
-    Checks deriv >= 0 is an integer, and order >= 1 at deriv 0 (order 0 is the delta kernel).
-    """
-    if not isinstance(deriv, (int, np.integer)) or deriv < 0:
-        raise ValueError(f"derivative order must be a non-negative integer, got {deriv!r}")
-    if deriv == 0 and spec.order < 1:
-        raise ValueError(f"{caller} requires order >= 1 (order 0 is the delta kernel)")
-    if deriv or spec.order > 2 or isinstance(spec, _Periodised):
-        return None
-    stages = _stages(spec)
-    return lambda d: (_box_kernel if spec.order == 1 else _two_box_kernel)(d, *stages)
+    return _Plan(const, PARITIES[deriv % 2], weights)
 
 
 def kernel_eval(spec: KernelSpec, dtheta, opts: EvalOptions | None = None, deriv: int = 0):
     """The kernel (deriv = 0) or its deriv-th derivative at separation dtheta (scalar or array).
 
-    N = 1 and N = 2 at deriv 0 use the exact closed forms (_closed_form); otherwise the
-    series, differentiated term by term (N >= deriv + 2), is summed, truncated where the
-    rigorous tail bound drops below opts.tail_tol.  Order 0 is the delta kernel and is not
-    evaluable pointwise.  ValueError unless every angle is finite.
+    Its plan (_plan) takes the exact closed form for N = 1 and N = 2 at deriv 0, or
+    else sums the series, differentiated term by term (N >= deriv + 2), truncated
+    where the rigorous tail bound drops below opts.tail_tol.  Order 0 is the delta
+    kernel and is not evaluable pointwise.  ValueError unless every angle is finite.
     """
-    kernel = _closed_form(spec, deriv, "kernel_eval")
-    if kernel is None:
-        const, parity, weights = _kernel_series(spec, deriv, opts or DEFAULT_OPTIONS)
-
-        def kernel(d):
-            return const + _point_values(weights, d, parity) / np.pi
-
-    return _pointwise(dtheta, lambda d: kernel(_fold(d) if deriv == 0 else d))
+    plan = _plan(spec, deriv, opts or DEFAULT_OPTIONS, "kernel_eval")
+    return _pointwise(dtheta, lambda d: plan.at(_fold(d) if deriv == 0 else d))
 
 
 def kernel_grid(
@@ -462,18 +465,13 @@ def kernel_grid(
 ) -> np.ndarray:
     """The kernel (deriv = 0) or its deriv-th derivative on theta_j = -pi + 2*pi*j/M.
 
-    A closed form (_closed_form) is taken on j <= M/2 and mirrored, so it is
-    exactly even; else one FFT sums the series cut by the tail rule, at cost
+    Its plan (_plan) gives the closed form on j <= M/2, mirrored, so exactly
+    even, or else one FFT of the series cut by the tail rule, at cost
     O(K + M log M) for any K, with v[M-j] == v[j] exactly (kernels, even
     derivatives) or v[M-j] == -v[j] (odd derivatives).
     """
     resolution = _resolution(resolution)
-    opts = opts or DEFAULT_OPTIONS
-    closed = _closed_form(spec, deriv, "kernel_grid")
-    if closed is not None:
-        return _mirror(closed(_fold(theta_grid(resolution)[: resolution // 2 + 1])), resolution)
-    const, parity, weights = _kernel_series(spec, deriv, opts)
-    return const + _grid_values(weights, resolution, parity) / np.pi
+    return _plan(spec, deriv, opts or DEFAULT_OPTIONS, "kernel_grid").grid(resolution)
 
 
 def kernel_integral(spec: KernelSpec, opts: EvalOptions | None = None) -> float:
@@ -488,6 +486,5 @@ def kernel_integral(spec: KernelSpec, opts: EvalOptions | None = None) -> float:
     if spec.order < 1:
         raise ValueError("kernel_integral requires order >= 1")
     m = opts.quad_resolution
-    mult = _multipliers(spec, min(opts.k_max, m - 1))
-    values = 1.0 / (2.0 * np.pi) + _grid_values(mult, m, "cosine") / np.pi
-    return float(values.sum() * (2.0 * np.pi / m))
+    plan = _Plan(1.0 / (2.0 * np.pi), "cosine", _multipliers(spec, min(opts.k_max, m - 1)))
+    return float(plan.grid(m).sum() * (2.0 * np.pi / m))

@@ -70,9 +70,8 @@ def zero_derivative_points(eps: float, n: int) -> list[float]:
     n = 0 gives the two support ends; n >= 1 gives the regular grid
     m * eps / 2^(n-1), m = -2^(n-1) .. 2^(n-1), for eps in (0, pi).
     """
-    eps = ScaledKernelParams(eps, 0).range_param
-    if int(n) != n or n < 0:
-        raise ValueError("n must be a non-negative integer")
+    params = ScaledKernelParams(eps, n)  # eps in (0, pi), n a non-negative integer
+    eps, n = params.range_param, params.order
     if n == 0:
         return [-eps, eps]
     half = 2 ** (n - 1)

@@ -87,7 +87,10 @@ DEFAULT_OPTIONS = EvalOptions()
 
 def _coefficient_array(coeffs) -> np.ndarray:
     """a_1..a_K of either side of the pair as floats; ValueError unless 1-D and finite."""
-    arr = np.asarray(coeffs, dtype=float)
+    try:
+        arr = np.asarray(coeffs, dtype=float)
+    except OverflowError:  # an integer past the float range
+        raise ValueError("coefficients must all be finite") from None
     if arr.ndim != 1:
         raise ValueError("coeffs must be a one-dimensional sequence")
     if arr.size and not np.all(np.isfinite(arr)):

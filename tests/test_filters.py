@@ -214,10 +214,10 @@ def test_multiplier_table_is_the_one_shot_product(spec):
 
 
 def test_multiplier_table_is_read_only():
-    from sincfilters.filters import _kernel_series, _multipliers
+    from sincfilters.filters import _multipliers, _plan
 
     spec = KernelSpec(6, 0.5, "scaled")
-    for m in (_multipliers(spec, 100), _kernel_series(spec, 0, EvalOptions())[2]):
+    for m in (_multipliers(spec, 100), _plan(spec, 0, EvalOptions(), "kernel_eval").weights):
         with pytest.raises(ValueError):
             m[0] = 1.0
 
@@ -296,6 +296,11 @@ def test_kernel_spec_validation():
         KernelSpec(1, 0.5, "boxcar")
     with pytest.raises(ValueError):
         KernelSpec(3, np.pi, "scaled")  # the scaled construction needs eps < pi
+    for order in (np.inf, -np.inf):  # int(inf) would raise OverflowError
+        with pytest.raises(ValueError, match="order must be a non-negative integer"):
+            KernelSpec(order, 0.5)
+    with pytest.raises(ValueError):
+        KernelSpec(np.nan, 0.5)
 
 
 def test_apply_filter_identity_and_zero():
@@ -786,14 +791,20 @@ def test_kernel_grid_exactly_symmetric(resolution):
 
 
 def test_kernel_grid_rejects_invalid_requests():
-    with pytest.raises(ValueError):
-        kernel_grid(KernelSpec(0, 0.5), 64)  # the delta kernel
-    with pytest.raises(ValueError):
-        kernel_grid(KernelSpec(4, 0.5), 0)
-    with pytest.raises(ValueError):
-        kernel_grid(KernelSpec(4, 0.5), 64, deriv=-1)
-    with pytest.raises(InsufficientOrderError):
-        kernel_grid(KernelSpec(3, 0.5, "scaled"), 64, deriv=2)
+    # one contract for both off-circle consumers: kernel_eval at angles, kernel_grid on the grid
+    for evaluate, points, bad_points in ((kernel_eval, 0.3, np.inf), (kernel_grid, 64, 0)):
+        with pytest.raises(ValueError):
+            evaluate(KernelSpec(0, 0.5), points)  # the delta kernel
+        with pytest.raises(ValueError):
+            evaluate(KernelSpec(4, 0.5), bad_points)
+        for deriv in (-1, 1.5):
+            with pytest.raises(ValueError):
+                evaluate(KernelSpec(4, 0.5), points, deriv=deriv)
+        with pytest.raises(InsufficientOrderError):
+            evaluate(KernelSpec(3, 0.5, "scaled"), points, deriv=2)
+        spec = KernelSpec(100, 0.5, "scaled")
+        want = evaluate(spec, points, deriv=2)
+        np.testing.assert_array_equal(evaluate(spec, points, deriv=np.int64(2)), want)
 
 
 def test_kernel_nonconvergence_at_default_tolerance():

@@ -212,6 +212,9 @@ def test_zero_derivative_point_sets():
     for bad in (0.0, np.pi, 4.0, np.nan):
         with pytest.raises(ValueError):
             zero_derivative_points(bad, 1)
+    for bad in (-1, 1.5, np.inf):  # int(inf) would raise OverflowError
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            zero_derivative_points(eps, bad)
 
 
 @settings(max_examples=30, deadline=None)

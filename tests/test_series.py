@@ -14,6 +14,7 @@ from sincfilters import (
     SampledSignal,
     eval_series,
     load_coefficients,
+    load_inner,
     load_signal,
     make_waveform,
     oracle_moving_average,
@@ -185,6 +186,15 @@ def test_invalid_inputs_rejected(tmp_path):
         warnings.simplefilter("error")  # rejected without a warning first
         with pytest.raises(ValueError):
             load_signal(header_only)
+
+
+def test_loaders_reject_an_integer_past_the_float_range(tmp_path):
+    # np.asarray would raise OverflowError converting 10**400 to a float
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"parity": "cosine", "coeffs": [1.5, 10**400]}))
+    for load in (load_coefficients, load_inner):
+        with pytest.raises(ValueError, match="finite"):
+            load(path)
 
 
 def test_coefficient_json_roundtrip(tmp_path):

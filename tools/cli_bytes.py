@@ -61,6 +61,8 @@ INVOCATIONS = [
       for kind in ("square", "sawtooth", "triangle") for n in (0, 1, 2, 100)),
     # sweeps of the other variants
     *(f"sweep --variant {v} {SMALL} --out sweep/" for v in ("naive", "fixed", "gaussian")),
+    # N = 1 takes the closed form, and N = 2 (total range 4 > pi) is periodised: the series
+    "sweep --variant naive --eps 2.0 --tol 1e-6 --points 256 --out sweep/",
     # filter in both formats
     *(f"filter --in {f} --N 3 --variant {v} --out {out}"
       for f, v, out in (("coeffs.json", "naive", "f.csv"), ("sine.json", "gaussian", "f.json"),

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientOrderError, NonConvergenceError
+from .errors import NonConvergenceError
 from .filters import (
     VARIANTS,
     KernelSpec,
@@ -100,22 +100,13 @@ def _cmd_invariants(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_spec(ns: argparse.Namespace, n: int) -> KernelSpec:
-    try:
-        return KernelSpec(n, ns.eps, ns.variant)
-    except ValueError:
-        # Total range beyond the period: no compact support, but the kernel's
-        # series is still the curve the figures show.
-        return _Periodised(n, ns.eps, ns.variant)
-
-
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     points = _resolution(ns.points)  # before any spec is checked
     opts = _options(ns)
     for n in SWEEP_LISTS[ns.variant]:
-        values = kernel_grid(_sweep_spec(ns, n), points, opts)
+        values = kernel_grid(_Periodised(n, ns.eps, ns.variant), points, opts)
         _write_rows(out_dir / f"kernel_{ns.variant}_N{n}.csv", ("theta", "value"), points, values)
     return 0
 
@@ -225,7 +216,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, InsufficientOrderError, OSError, MemoryError, OverflowError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonConvergenceError as exc:

@@ -19,10 +19,10 @@ The kernel of every variant is
 
     1/(2*pi) + (1/pi) * sum_k m_k cos(k dtheta),
 
-in closed form for N = 1 (a box) and N = 2 (two boxes convolved).  For
-scaled, m_k is the running product over the stages, never the algebraically
-equal 2^(N(N+1)/2)/(k eps)^N prefactor form, which overflows already for
-moderate N.
+in closed form for N = 1 (a box) and N = 2 (two boxes convolved), both
+wrapped on the period.  For scaled, m_k is the running product over the
+stages, never the algebraically equal 2^(N(N+1)/2)/(k eps)^N prefactor
+form, which overflows already for moderate N.
 
 One plan (_plan) makes every decision of a kernel evaluation: argument
 checks, closed form or series, K and signed weights.  m_k depends only on
@@ -104,7 +104,11 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.order in (math.inf, -math.inf) or int(self.order) != self.order or self.order < 0:
+        try:
+            finite = math.isfinite(self.order)  # False for NaN and +-inf
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite or int(self.order) != self.order or self.order < 0:
             raise ValueError("order must be a non-negative integer")
         object.__setattr__(self, "order", int(self.order))
         eps = float(self.range_param)
@@ -126,9 +130,9 @@ class KernelSpec:
 
 
 class _Periodised(KernelSpec):
-    """A spec whose total range may exceed pi: its kernel is the series wrapped on the period.
+    """A spec whose total range may exceed pi: KernelSpec without that check.
 
-    It has no compact support, so its plan (_plan) takes the series, never a closed form.
+    Where KernelSpec accepts the same fields, its kernel is the same bit for bit.
     """
 
     def _check_total_range(self) -> None:
@@ -331,14 +335,17 @@ def _fold(dtheta) -> np.ndarray:
 
 
 def _box_kernel(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
-    """The exact kernel at folded d for N <= 2: a box, 1/(2a) inside, 0 outside and the
-    lateral-limit average at the edge, or two boxes a >= b convolved, overlap / (4ab)."""
+    """The exact kernel on the period at folded d for N <= 2: a box, 1/(2a) inside, 0 outside
+    and the lateral-limit average at the edge, or two boxes a >= b convolved, overlap / (4ab).
+    The support's half-width is at most 2*pi, so only d and its image 2*pi - d can lie inside."""
+    x = np.stack((d, 2.0 * np.pi - d))  # the image is exactly 0.0 for a total range below pi
     if spec.order == 1:
         (a,) = _stages(spec)
-        return np.where(d < a, 1.0 / (2.0 * a), np.where(d == a, 1.0 / (4.0 * a), 0.0))
-    a, b = _stages(spec)
-    overlap = np.minimum(d + b, a) - np.maximum(d - b, -a)
-    return np.clip(overlap, 0.0, None) / (4.0 * a * b)
+        v = np.where(x < a, 1.0 / (2.0 * a), np.where(x == a, 1.0 / (4.0 * a), 0.0))
+    else:
+        a, b = _stages(spec)
+        v = np.clip(np.minimum(x + b, a) - np.maximum(x - b, -a), 0.0, None) / (4.0 * a * b)
+    return v[0] + v[1]
 
 
 @functools.lru_cache(maxsize=256)
@@ -427,7 +434,7 @@ def _plan(spec: KernelSpec, deriv: int, opts: EvalOptions, caller: str, radius: 
 
     Checks deriv >= 0 is an integer, order >= 1 at deriv 0 and r = 1 (order 0 is the
     delta kernel), and N >= deriv + 2 for absolute convergence.  Only N <= 2 at deriv 0
-    and r = 1 has a closed form, not a _Periodised spec.  Else K is the tail rule's and
+    and r = 1 has a closed form, the box kernel on the period.  Else K is the tail rule's and
     w_k = +-k^deriv m_k: d^n/dtheta^n cos(k theta) cycles -k^n sin, -k^n cos, +k^n sin, +k^n cos.
     """
     deriv = _resolution(deriv, 0, "derivative order")
@@ -438,7 +445,7 @@ def _plan(spec: KernelSpec, deriv: int, opts: EvalOptions, caller: str, radius: 
             f"derivative of order {deriv} needs steps >= {deriv + 2}, got {spec.order}"
         )
     const = 1.0 / (2.0 * np.pi) if deriv == 0 else 0.0
-    if deriv == 0 and spec.order <= 2 and radius == 1.0 and not isinstance(spec, _Periodised):
+    if deriv == 0 and spec.order <= 2 and radius == 1.0:
         return _Plan(const, "cosine", _NO_MULTIPLIERS, functools.partial(_box_kernel, spec))
     K = _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius)
     weights = _multipliers(spec, K)

@@ -121,6 +121,16 @@ def test_sweep_command_naive_beyond_period(tmp_path):
     assert np.abs(data[:, 1] - 1 / (2 * np.pi)).max() < 0.02
 
 
+@pytest.mark.parametrize("variant, eps", [("naive", "2.0"), ("gaussian", "2.5")])
+def test_sweep_past_the_period_at_the_default_tol(tmp_path, variant, eps):
+    # N = 2 has total range 4 or 3.5 > pi: the closed form on the period, not a long series
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--variant", variant, "--eps", eps, "--points", "64", "--out", str(out_dir)]
+    assert main(argv) == 0
+    names = {f"kernel_{variant}_N{n}.csv" for n in cli.SWEEP_LISTS[variant]}
+    assert {path.name for path in out_dir.iterdir()} == names
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["scaled-kernel", "--eps", "0.5", "--N", "40", "--points", "512"]

@@ -301,6 +301,9 @@ def test_kernel_spec_validation():
             KernelSpec(order, 0.5)
     with pytest.raises(ValueError):
         KernelSpec(np.nan, 0.5)
+    for variant in ("naive", "fixed", "gaussian", "scaled"):  # past the float range
+        with pytest.raises(ValueError, match="order must be a non-negative integer"):
+            KernelSpec(10**400, 0.5, variant)
 
 
 def test_apply_filter_identity_and_zero():
@@ -446,6 +449,38 @@ def test_box_kernel_values():
     assert kernel_eval(spec, 0.6) == 0.0
     assert kernel_eval(spec, 0.5) == 0.5  # lateral-limit average at the jump
     assert kernel_eval(spec, 2 * np.pi) == 1.0  # periodic
+
+
+@pytest.mark.parametrize("variant", ["naive", "fixed"])
+def test_box_of_full_range_is_the_constant(variant):
+    # half-width pi averages the whole circle; at theta = +-pi the edge meets its image
+    spec = KernelSpec(1, np.pi, variant)
+    for theta in (-np.pi, 0.0, np.pi):
+        assert kernel_eval(spec, theta) == 1 / (2 * np.pi)
+    for resolution in (63, 64):
+        assert np.all(kernel_grid(spec, resolution) == 1 / (2 * np.pi))
+
+
+@pytest.mark.parametrize("spec", [_Periodised(2, 2.0, "naive"), _Periodised(2, 2.5, "gaussian")])
+def test_wrapped_closed_form_matches_its_series(spec):
+    # total range 4 and 3.5 > pi: the closed form on the period against its series at 1e-7
+    from sincfilters.filters import _cutoff, _multipliers, _Plan
+
+    tol = 1e-7
+    series = _Plan(1 / (2 * np.pi), "cosine", _multipliers(spec, _cutoff(spec, 0, tol, 2**21)))
+    np.testing.assert_allclose(kernel_grid(spec, 1024), series.grid(1024), rtol=0, atol=tol)
+    theta = np.linspace(-7.0, 7.0, 29)
+    np.testing.assert_allclose(kernel_eval(spec, theta), series.at(theta), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("variant", ["naive", "fixed", "gaussian", "scaled"])
+def test_periodised_grid_is_the_in_range_spec_bit_for_bit(variant):
+    opts = EvalOptions(tail_tol=1e-9)  # the sweep's default
+    for order in (1, 2, 3, 4):
+        for eps in (0.3, 0.5):
+            want = kernel_grid(KernelSpec(order, eps, variant), 1024, opts)
+            got = kernel_grid(_Periodised(order, eps, variant), 1024, opts)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (order, eps)
 
 
 def test_hat_kernel_closed_form_and_oracle():
@@ -716,7 +751,7 @@ def test_kernel_grid_closed_forms_exactly_even(variant, resolution):
         (KernelSpec(100, 0.5, "scaled"), 1e-12, 8192),  # K = 2219 < M
         (KernelSpec(8192, 0.5, "fixed"), 1e-9, 1024),  # K = 16425 > M
         (KernelSpec(3, 0.5, "scaled"), 1e-9, 1024),  # K = 285460 >> M
-        (_Periodised(2, 2.0, "naive"), 1e-6, 1024),  # range 4 > pi: no closed form either way
+        (_Periodised(2, 2.0, "naive"), 1e-6, 1024),  # range 4 > pi: closed form plus its image
     ],
 )
 def test_kernel_grid_matches_direct_sum(spec, tol, resolution):

@@ -55,14 +55,17 @@ INVOCATIONS = [
     *(f"kernel --N {n} --variant {v} {SMALL} --tol 1e-9 --out k.csv"
       for v in ("naive", "fixed", "gaussian", "scaled") for n in (1, 2, 4)),
     "kernel --N 2 --eps 0.3 --points 1023 --out k.csv",
+    # half-width pi: at theta = -pi the box's edge meets its image
+    "kernel --N 1 --eps 3.141592653589793 --points 8 --out k.csv",
     "scaled-kernel --N 10 --tol 1e-9 --points 1023 --out s.csv",
     # waveform kinds at N = 0, 1, 2, 100
     *(f"waveform --kind {kind} --N {n} {SMALL} --kmax 65536 --out w.csv"
       for kind in ("square", "sawtooth", "triangle") for n in (0, 1, 2, 100)),
     # sweeps of the other variants
     *(f"sweep --variant {v} {SMALL} --out sweep/" for v in ("naive", "fixed", "gaussian")),
-    # N = 1 takes the closed form, and N = 2 (total range 4 > pi) is periodised: the series
+    # N = 1 and N = 2 (total range 4 > pi) take the closed form on the period
     "sweep --variant naive --eps 2.0 --tol 1e-6 --points 256 --out sweep/",
+    "sweep --variant gaussian --eps 2.5 --points 64 --out sweep/",
     # filter in both formats
     *(f"filter --in {f} --N 3 --variant {v} --out {out}"
       for f, v, out in (("coeffs.json", "naive", "f.csv"), ("sine.json", "gaussian", "f.json"),

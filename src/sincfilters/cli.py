@@ -183,8 +183,7 @@ _COMMANDS = {
                  ("--eps", "--N", "--kind", *_GRID), {}),
     "invariants": (_cmd_invariants, "the five invariant points of the scaled kernel as CSV",
                    ("--eps", "--out"), {}),
-    # N=3 in the scaled sweep cannot reach 1e-12 within any practical k_max;
-    # 1e-9 is far below plotting resolution.
+    # 1e-9 is far below plotting resolution (the scaled N = 3..10 files are exact).
     "sweep": (_cmd_sweep, "one kernel CSV per N in the figure lists",
               ("--eps", "--variant", *_GRID), {"tail_tol": 1e-9}),
     "selfcheck": (_cmd_selfcheck, "run the built-in oracle-agreement checks", (), {}),

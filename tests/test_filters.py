@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -216,7 +217,7 @@ def test_multiplier_table_is_the_one_shot_product(spec):
 def test_multiplier_table_is_read_only():
     from sincfilters.filters import _multipliers, _plan
 
-    spec = KernelSpec(6, 0.5, "scaled")
+    spec = KernelSpec(11, 0.5, "scaled")  # past the exact tables: its plan holds the weights
     for m in (_multipliers(spec, 100), _plan(spec, 0, EvalOptions(), "kernel_eval").weights):
         with pytest.raises(ValueError):
             m[0] = 1.0
@@ -481,6 +482,120 @@ def test_periodised_grid_is_the_in_range_spec_bit_for_bit(variant):
             want = kernel_grid(KernelSpec(order, eps, variant), 1024, opts)
             got = kernel_grid(_Periodised(order, eps, variant), 1024, opts)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (order, eps)
+
+
+# ---------------------------------------------------------------- exact scaled kernels, N = 3..10
+
+TABLE_SPECS = [KernelSpec(n, eps, "scaled") for n in range(3, 11) for eps in (0.05, 0.5, 3.0)]
+
+
+def _spec_id(spec):
+    return f"N{spec.order}-eps{spec.range_param}"
+
+
+def _exact_scaled(spec, theta):
+    """The scaled kernel at theta in exact rationals, independently of the package's recurrence.
+
+    In u = theta 2^N / eps it is the density of a sum of uniforms on [-w, w], w = 2^(N-1), .., 2, 1:
+    sum_s (prod s) (u + s.w)_+^(N-1) / ((N-1)! prod(2w)).  s.w = 2m - R runs over the odd integers
+    |j| <= R = 2^N - 1 as m = 0..R, with prod s = (-1)^(N - popcount(m)).
+    """
+    n = spec.order
+    h = Fraction(spec.range_param) / 2**n
+    u = abs(Fraction(theta)) / h
+    top = 2**n - 1
+    num = sum((-1) ** (n - m.bit_count()) * (u.numerator + (2 * m - top) * u.denominator) ** (n - 1)
+              for m in range(top + 1) if u + 2 * m - top > 0)
+    norm = u.denominator ** (n - 1) * math.factorial(n - 1) * 2**n * 2 ** (n * (n - 1) // 2)
+    return Fraction(num, norm) / h
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=_spec_id)
+def test_scaled_table_is_the_exact_kernel(spec):
+    # within 2 ulp of the kernel's maximum (its value at 0) at seeded points of the support
+    rng = np.random.default_rng([spec.order, int(spec.range_param * 100)])
+    thetas = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 16) * total_range(spec)])
+    ulp = math.ulp(float(_exact_scaled(spec, 0.0)))
+    for theta, value in zip(thetas, kernel_eval(spec, thetas)):
+        assert abs(Fraction(value) - _exact_scaled(spec, theta)) <= 2 * ulp, theta
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=_spec_id)
+def test_scaled_table_matches_its_series(spec):
+    from sincfilters.filters import _cutoff, _multipliers, _Plan
+
+    tol = 1e-12 if spec.order > 3 else 1e-9
+    if spec.order == 3 and spec.range_param == 0.05:
+        tol = 1e-7  # at 1e-9 this series needs 9.0e6 harmonics
+    weights = _multipliers(spec, _cutoff(spec, 0, tol, 2**21 if spec.order == 3 else 2**22))
+    series = _Plan(1 / (2 * np.pi), "cosine", weights)
+    bound = tol + 64 * np.finfo(float).eps / spec.range_param  # tail plus rounding at the peak
+    assert np.abs(kernel_grid(spec, 1024) - series.grid(1024)).max() <= bound
+    theta = np.random.default_rng(spec.order).uniform(-np.pi, np.pi, 9)
+    assert np.abs(kernel_eval(spec, theta) - series.at(theta)).max() <= bound
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=_spec_id)
+def test_scaled_table_is_even_and_zero_past_its_support(spec):
+    edge = total_range(spec)  # eps (1 - 2^-N)
+    for resolution in (1023, 1024):
+        v = kernel_grid(spec, resolution)
+        assert np.array_equal(v[1:], v[1:][::-1])
+        assert np.all(v[np.abs(theta_grid(resolution)) > edge] == 0.0)
+    d = np.random.default_rng(spec.order).uniform(-4.0, 4.0, 64)
+    assert np.array_equal(kernel_eval(spec, d), kernel_eval(spec, -d))
+    past = np.linspace(edge, np.pi, 9)[1:]  # and their images 2 pi - theta, folded with rounding
+    outside = np.concatenate([[np.nextafter(edge, 4.0)], past, -past, 2 * np.pi - past])
+    assert np.all(kernel_eval(spec, outside) == 0.0)
+
+
+@pytest.mark.parametrize("order", range(3, 11))
+def test_scaled_table_mass_is_one(order):
+    # the float coefficients' exact rational integral is 1 within one ulp (their rounding)
+    from sincfilters.filters import _scaled_table
+
+    rows = zip(_scaled_table(order), range(order, 0, -1))  # t^(k-1) integrates to 1/k on a cell
+    mass = 2 * sum(Fraction(c) / k for row, k in rows for c in row.tolist())
+    assert abs(mass - 1) <= Fraction(2**-52)
+    # and _exact_scaled's density integrates to exactly 1: its primitive at u = R is
+    # sum_m (prod s) (2m)^N / (N! prod(2w))
+    top = 2**order - 1
+    primitive = sum((-1) ** (order - m.bit_count()) * (2 * m) ** order for m in range(top + 1))
+    assert primitive == math.factorial(order) * 2**order * 2 ** (order * (order - 1) // 2)
+
+
+def test_scaled_tables_take_only_their_specs():
+    # scaled N = 3..10 at deriv 0 with eps / 2^N a normal float; the rest keep the series
+    from sincfilters.filters import _plan
+
+    opts = EvalOptions()
+    for spec in TABLE_SPECS + [KernelSpec(10, 2.0**-1012, "scaled"), _Periodised(3, 0.5, "scaled")]:
+        plan = _plan(spec, 0, opts, "kernel_eval")
+        assert plan.closed is not None and plan.weights.size == 0
+    for spec, deriv in [(KernelSpec(11, 0.5, "scaled"), 0), (KernelSpec(10, 0.5, "scaled"), 1),
+                        (KernelSpec(10, 0.5, "scaled"), 2), (KernelSpec(6, 0.5, "fixed"), 0),
+                        (KernelSpec(8, 0.5, "gaussian"), 0), (KernelSpec(4, 0.5, "naive"), 0)]:
+        assert _plan(spec, deriv, opts, "kernel_eval").closed is None
+
+
+@pytest.mark.parametrize("eps", [1e-310, 5e-324])
+def test_scaled_kernel_at_a_subnormal_stage_width_does_not_converge(eps):
+    # eps / 2^3 is subnormal or 0: the series' NonConvergenceError, never inf, nan or a warning
+    spec = KernelSpec(3, eps, "scaled")
+    for evaluate in (lambda: kernel_eval(spec, [0.0, 1e-320, 0.1]), lambda: kernel_grid(spec, 64)):
+        with pytest.raises(NonConvergenceError):
+            evaluate()
+
+
+def test_scaled_table_at_the_smallest_normal_stage_width():
+    # h = eps / 2^N = 2^-1022: u = theta / h reaches 1.4e308, and the peak 1/eps is finite
+    for order in (3, 10):
+        eps = 2.0 ** (order - 1022)
+        spec = KernelSpec(order, eps, "scaled")
+        assert kernel_eval(spec, 0.0) == pytest.approx(1 / eps, rel=1e-15)
+        assert kernel_eval(spec, [np.pi, 1e-300, 3 * eps]).tolist() == [0.0, 0.0, 0.0]
+        v = kernel_grid(spec, 1023)
+        assert v[0] == 0.0 and np.all(np.isfinite(v))
 
 
 def test_hat_kernel_closed_form_and_oracle():
@@ -750,8 +865,9 @@ def test_kernel_grid_closed_forms_exactly_even(variant, resolution):
         (KernelSpec(6, 0.5, "fixed"), 1e-9, 1024),  # K = 718 < M
         (KernelSpec(100, 0.5, "scaled"), 1e-12, 8192),  # K = 2219 < M
         (KernelSpec(8192, 0.5, "fixed"), 1e-9, 1024),  # K = 16425 > M
-        (KernelSpec(3, 0.5, "scaled"), 1e-9, 1024),  # K = 285460 >> M
+        (KernelSpec(3, 0.5, "scaled"), 1e-9, 1024),  # the exact table on the grid and at angles
         (_Periodised(2, 2.0, "naive"), 1e-6, 1024),  # range 4 > pi: closed form plus its image
+        (KernelSpec(3, 0.5, "fixed"), 1e-9, 1024),  # K = 185412 >> M
     ],
 )
 def test_kernel_grid_matches_direct_sum(spec, tol, resolution):

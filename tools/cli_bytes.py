@@ -58,6 +58,9 @@ INVOCATIONS = [
     # half-width pi: at theta = -pi the box's edge meets its image
     "kernel --N 1 --eps 3.141592653589793 --points 8 --out k.csv",
     "scaled-kernel --N 10 --tol 1e-9 --points 1023 --out s.csv",
+    # scaled N = 3..10 take the exact table: the widest support on an odd grid, and N = 10
+    "kernel --variant scaled --N 3 --eps 3.0 --points 1023 --out k.csv",
+    "kernel --variant scaled --N 10 --eps 0.05 --points 4096 --out k.csv",
     # waveform kinds at N = 0, 1, 2, 100
     *(f"waveform --kind {kind} --N {n} {SMALL} --kmax 65536 --out w.csv"
       for kind in ("square", "sawtooth", "triangle") for n in (0, 1, 2, 100)),

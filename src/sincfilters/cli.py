@@ -183,34 +183,43 @@ _COMMANDS = {
                  ("--eps", "--N", "--kind", *_GRID), {}),
     "invariants": (_cmd_invariants, "the five invariant points of the scaled kernel as CSV",
                    ("--eps", "--out"), {}),
-    # 1e-9 is far below plotting resolution (the scaled N = 3..10 files are exact).
     "sweep": (_cmd_sweep, "one kernel CSV per N in the figure lists",
-              ("--eps", "--variant", *_GRID), {"tail_tol": 1e-9}),
+              ("--eps", "--variant", *_GRID), {}),
     "selfcheck": (_cmd_selfcheck, "run the built-in oracle-agreement checks", (), {}),
 }
 
 
 def _build_parser(command: str | None = None) -> _Parser:
-    """The parser of `command` alone, or of every command when `command` names none.
+    """The flat parser of `command` alone, or of every command when `command` names none.
 
-    Built afresh on every call on purpose, not cached across calls.
+    Built afresh on every call: a parser cached across calls raised the
+    coeff_io benchmark's peak RSS from 70.3 to 100.6 MB (ROADMAP item 1a).
     """
+    if command in _COMMANDS:
+        return _with_flags(_Parser(prog=f"sincfilters {command}"), command)
     parser = _Parser(prog="sincfilters", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        _, help_text, flags, defaults = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(**defaults)
+    for name, (_, help_text, _, _) in _COMMANDS.items():
+        _with_flags(sub.add_parser(name, help=help_text), name)
+    return parser
+
+
+def _with_flags(parser: _Parser, command: str) -> _Parser:
+    """parser with the flags and defaults of `command`, which it records as ns.command."""
+    _, _, flags, defaults = _COMMANDS[command]
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
+    parser.set_defaults(command=command, **defaults)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv else None)
+    # a known command first parses the rest flat; anything else keeps the parser of every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _build_parser(command)
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(argv[1:] if command else argv)
         return _COMMANDS[ns.command][0](ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,29 +311,92 @@ def _grid_rows(resolution: int, lo: int) -> str:
     return _rows("%.17g", _thetas(j, resolution).tolist())
 
 
+@functools.lru_cache(maxsize=_GRID_BLOCKS)
+def _grid_cells(resolution: int, lo: int) -> tuple[str, ...]:
+    """The "theta_j," cell of each row of _grid_rows(resolution, lo)."""
+    return tuple(_grid_rows(resolution, lo).split("%.17g\n")[:-1])
+
+
+_SIGNS = np.array(["", "-"], dtype=object)
+_MAGNITUDE = np.uint64(2**63 - 1)
+
+
+def _mirrored_cells(ys: np.ndarray) -> Callable[[int], tuple[list, list]] | None:
+    """The cells of a grid whose values mirror, formatting only the rows j <= M/2, or None.
+
+    None unless the M values are finite floats that mirror as |v[M-j]| == |v[j]|
+    bit for bit, as every definite-parity grid does (_grid_values).  Else a
+    function of lo that gives, for rows lo..lo+_ROW_BLOCK-1, each row's sign
+    ("" or "-") and its magnitude's %.17g cell: a row j > M/2 takes the cell
+    of row M-j.  As '%.17g' % -x == '-' + '%.17g' % x for every finite x,
+    -0.0 included, sign and cell make the row's %.17g.  The magnitudes are
+    kept as one text per block of rows, about a quarter of the file's size.
+    """
+    if ys.ndim != 1 or ys.dtype != float or not np.isfinite(ys).all():
+        return None
+    m, bits = ys.size, ys.view(np.uint64)
+    magnitudes = bits & _MAGNITUDE
+    half = m // 2 + 1
+    if not np.array_equal(magnitudes[half:], magnitudes[(m - 1) // 2 : 0 : -1]):
+        return None
+    heads = np.abs(ys[:half])
+    texts = []
+    for lo in range(0, half, _ROW_BLOCK):
+        values = heads[lo : lo + _ROW_BLOCK].tolist()
+        texts.append(("%.17g\n" * len(values)) % tuple(values))
+    split = functools.lru_cache(maxsize=2)(lambda k: texts[k].splitlines(True))
+
+    def head(a: int, b: int) -> list:  # the magnitude cells of rows a..b-1, all <= M/2
+        k = a // _ROW_BLOCK
+        cells = split(k) if b <= (k + 1) * _ROW_BLOCK else split(k) + split(k + 1)
+        return cells[a - k * _ROW_BLOCK : b - k * _ROW_BLOCK]
+
+    def block(lo: int) -> tuple[list, list]:
+        hi = min(lo + _ROW_BLOCK, m)
+        cells = head(lo, min(hi, half)) if lo < half else []
+        if hi > half:
+            cells += head(m - hi + 1, m + 1 - max(lo, half))[::-1]
+        return _SIGNS[bits[lo:hi] >> np.uint64(63)].tolist(), cells
+
+    return block
+
+
 def _write_rows(path, header: tuple[str, str], xs, ys) -> None:
     """Two-column CSV with LF line ends: integers as integers, floats at 17 significant digits.
 
     xs is the x column, or the resolution M of the grid theta_j, whose block
-    templates are memoised (_grid_rows).  Each block of _ROW_BLOCK rows is a
-    template that holds its x cells and a %.17g slot per y, filled by one %
-    over Python scalars: the bytes of formatting every value with .17g, as
-    %d equals .17g for |k| < 10^17.
+    templates and x cells are memoised (_grid_rows, _grid_cells).  Each block
+    of _ROW_BLOCK rows is a template that holds its x cells and a %.17g slot
+    per y, filled by one % over Python scalars: the bytes of formatting every
+    value with .17g, as %d equals .17g for |k| < 10^17.  A grid of M values
+    that mirrors (_mirrored_cells) formats only its distinct half and joins
+    each row from its x cell, its sign and its magnitude's cell instead.
     """
     ys = np.asarray(ys)
     if isinstance(xs, (int, np.integer)):
-        template = functools.partial(_grid_rows, int(xs))
+        m = int(xs)
+        mirrored = _mirrored_cells(ys) if ys.shape == (m,) else None
+
+        def block(lo: int) -> str:
+            if mirrored is None:
+                return _grid_rows(m, lo) % tuple(ys[lo : lo + _ROW_BLOCK].tolist())
+            x_cells = _grid_cells(m, lo)
+            row = [None] * (3 * len(x_cells))
+            row[::3] = x_cells
+            row[1::3], row[2::3] = mirrored(lo)
+            return "".join(row)
     else:
         xs = np.asarray(xs)
         x_cell = "%d" if xs.dtype.kind in "iu" else "%.17g"
 
-        def template(lo: int) -> str:
-            return _rows(x_cell, xs[lo : lo + _ROW_BLOCK].tolist())
+        def block(lo: int) -> str:
+            template = _rows(x_cell, xs[lo : lo + _ROW_BLOCK].tolist())
+            return template % tuple(ys[lo : lo + _ROW_BLOCK].tolist())
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{header[0]},{header[1]}\n")
         for lo in range(0, ys.size, _ROW_BLOCK):
-            fh.write(template(lo) % tuple(ys[lo : lo + _ROW_BLOCK].tolist()))
+            fh.write(block(lo))
 
 
 def save_signal(signal: SampledSignal, path) -> None:

@@ -9,3 +9,4 @@ def cold_multiplier_tables():
     filters._MULTIPLIERS.clear()
     filters._envelope_cutoff.cache_clear()
     series._grid_rows.cache_clear()
+    series._grid_cells.cache_clear()

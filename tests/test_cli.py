@@ -191,9 +191,44 @@ def test_grid_path_exit_codes(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+GRID_COMMANDS = [
+    "kernel --N 1 --variant naive",  # the box
+    "kernel --N 2 --eps 0.3",  # two boxes convolved
+    "kernel --N 5 --variant scaled",  # the exact table
+    "kernel --N 4",  # series
+    "scaled-kernel",  # series
+    "derivative --order 1",
+    "derivative --order 2",
+    "waveform --kind square",
+    "waveform --kind sawtooth",
+    "waveform --kind triangle",
+    "sweep --variant scaled",
+    "sweep --variant gaussian",
+]
+
+
+@pytest.mark.parametrize("points", [1023, 1024])
+def test_every_grid_command_writes_its_distinct_half(tmp_path, monkeypatch, points):
+    # every grid file mirrors bit for bit, so the writer formats only rows j <= M/2
+    from sincfilters import series
+
+    seen, mirrored_cells = [], series._mirrored_cells
+
+    def spy(ys):
+        seen.append(mirrored_cells(ys))
+        return seen[-1]
+
+    monkeypatch.setattr(series, "_mirrored_cells", spy)
+    for i, command in enumerate(GRID_COMMANDS):
+        argv = command.split() + ["--points", str(points), "--out", str(tmp_path / str(i))]
+        calls = len(seen)
+        assert main(argv) == 0, command
+        assert len(seen) > calls and all(cells is not None for cells in seen[calls:]), command
+
+
 def test_sweep_periodised_matches_direct_series(tmp_path):
     from sincfilters.filters import _Periodised, kernel_eval
-    from sincfilters.series import EvalOptions, theta_grid
+    from sincfilters.series import theta_grid
 
     out_dir = tmp_path / "sweep"
     rc = main(["sweep", "--variant", "naive", "--eps", "0.5", "--points", "1024",
@@ -202,7 +237,7 @@ def test_sweep_periodised_matches_direct_series(tmp_path):
     grid = theta_grid(1024)
     for n in (8, 16, 32, 64, 128):  # total range n * 0.5 > pi
         _, data = read_csv(out_dir / f"kernel_naive_N{n}.csv")
-        direct = kernel_eval(_Periodised(n, 0.5, "naive"), grid, EvalOptions(tail_tol=1e-9))
+        direct = kernel_eval(_Periodised(n, 0.5, "naive"), grid)  # at the sweep's --tol 1e-12
         assert np.abs(data[:, 1] - direct).max() <= 1e-12
 
 
@@ -254,12 +289,19 @@ def _parsed(parser, argv):
 def test_one_command_parser_parses_as_the_full_parser(tmp_path, monkeypatch, capsys):
     full = cli._build_parser()
     for command, reads in READS.items():
+        # flat: the command's own flags and no subcommand; its usage and help are the full
+        # parser's `<command> --help`
         one = cli._build_parser(command)
-        assert one.format_usage() == f"usage: sincfilters [-h] {{{command}}} ...\n"
+        with pytest.raises(SystemExit):
+            full.parse_args([command, "--help"])
+        help_text = capsys.readouterr().out
+        assert help_text.startswith(one.format_usage())
+        assert one.format_usage().startswith(f"usage: sincfilters {command} [-h]")
+        assert one.format_help() == help_text
         required = [f for f in ("--in", "--out") if f in reads.split()]
         for flags in ([], required, reads.split()):
-            argv = [command] + [x for f in flags for x in (f, FLAG_VALUES[f])]
-            assert _parsed(one, argv) == _parsed(full, argv), argv
+            argv = [x for f in flags for x in (f, FLAG_VALUES[f])]
+            assert _parsed(one, argv) == _parsed(full, [command] + argv), argv
     # no command, or none that exists: the full table, and its usage errors
     assert main([]) == 1
     assert "required: command" in capsys.readouterr().err

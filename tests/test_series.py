@@ -24,7 +24,7 @@ from sincfilters import (
     save_signal,
     theta_grid,
 )
-from sincfilters.series import _write_rows
+from sincfilters.series import _mirror, _mirrored_cells, _write_rows
 
 # Brute partial sums at k_max = 1e5, frozen from a 30-digit mpmath run.
 TRIANGLE_AT_ZERO_1E5 = -0.99999594715265444
@@ -258,6 +258,40 @@ def test_write_rows_matches_per_row_format(tmp_path, rows):
                 _write_rows(tmp_path / "grid.csv", ("theta", "value"), xs, ys)
                 want = (tmp_path / f"grid{m}_ref.csv").read_bytes()
                 assert (tmp_path / "grid.csv").read_bytes() == want, (warmth, m, type(xs))
+
+
+def _mirrored_grids(m):
+    """Grids of m values by name: mirrored as cosine and sine grids are, one a bit off its
+    mirror, and one mirrored but with a NaN."""
+    rng = np.random.default_rng(m)
+    half = rng.normal(size=m // 2 + 1) * 10.0 ** rng.integers(-300, 300, size=m // 2 + 1)
+    half[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[: half.size]
+    grids = {"cosine": _mirror(half, m), "sine": _mirror(half, m, -1.0)}
+    # +0.0 and -0.0 tail cells, each once equal to its mirror cell and once its negation
+    zeros = [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)]
+    for j, (head, tail) in zip(range(1, (m - 1) // 2 + 1), zeros):
+        grids["sine"][j], grids["sine"][m - j] = head, tail
+    if m >= 3:
+        off = grids["cosine"].copy()
+        off.view(np.uint64)[-1] ^= np.uint64(1)  # row M-1 misses row 1 by its last bit
+        grids["one bit off"] = off
+    grids["nan"] = grids["cosine"].copy()
+    grids["nan"][0] = np.nan  # mirrored, but '%.17g' % -nan is 'nan'
+    return grids
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 4095, 4096, 4097, 8193])
+def test_grid_writer_formats_the_distinct_half(tmp_path, m):
+    grids = _mirrored_grids(m)
+    for name, ys in grids.items():
+        _per_row_rows(tmp_path / f"{name}_ref.csv", ("theta", "value"), theta_grid(m), ys)
+        # the mirrored grids take the half path; the others fall back to the template path
+        assert (_mirrored_cells(ys) is None) == (name in ("one bit off", "nan")), name
+    for warmth in ("cold", "warm"):
+        for name, ys in grids.items():
+            _write_rows(tmp_path / "grid.csv", ("theta", "value"), m, ys)
+            want = (tmp_path / f"{name}_ref.csv").read_bytes()
+            assert (tmp_path / "grid.csv").read_bytes() == want, (warmth, name)
 
 
 def test_save_coefficients_matches_json_dump(tmp_path):

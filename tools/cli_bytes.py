@@ -61,6 +61,11 @@ INVOCATIONS = [
     # scaled N = 3..10 take the exact table: the widest support on an odd grid, and N = 10
     "kernel --variant scaled --N 3 --eps 3.0 --points 1023 --out k.csv",
     "kernel --variant scaled --N 10 --eps 0.05 --points 4096 --out k.csv",
+    # grid files written from their distinct half: odd M, one to three rows, and mirrors
+    # that cross the 4096-row block
+    "derivative --order 1 --points 1023 --out d1.csv",
+    *(f"waveform --kind {kind} --points 8193 --out w.csv" for kind in ("sawtooth", "triangle")),
+    *(f"kernel --points {m} --out k.csv" for m in (1, 2, 3)),
     # waveform kinds at N = 0, 1, 2, 100
     *(f"waveform --kind {kind} --N {n} {SMALL} --kmax 65536 --out w.csv"
       for kind in ("square", "sawtooth", "triangle") for n in (0, 1, 2, 100)),

@@ -19,11 +19,12 @@ The kernel of every variant is
 
     1/(2*pi) + (1/pi) * sum_k m_k cos(k dtheta),
 
-in closed form for N = 1 (a box) and N = 2 (two boxes convolved), both
-wrapped on the period, and for scaled N = 3..10: in u = theta 2^N / eps its
-stages are boxes of integer half-widths, so the kernel is one polynomial of
-degree N-1 per unit cell, a table (_scaled_table) built once per order by
-repeated box integration and read by Horner's rule.  For scaled, m_k is the
+in closed form for N <= 2 and for scaled N <= 10: in u = theta/h, h the
+narrowest stage, the stages are boxes of integer half-widths (1, 1 for equal
+stages, 1, 2, ..., 2^(N-1) for scaled), so the kernel is one polynomial of
+degree N-1 per unit cell, a table (_box_table) keyed by those widths, built
+once by repeated box integration and read by Horner's rule at d and, where
+the widths reach pi, at its image 2*pi - d.  For scaled, m_k is the
 running product over the stages, never the algebraically equal
 2^(N(N+1)/2)/(k eps)^N prefactor form, which overflows already for moderate N.
 
@@ -91,9 +92,6 @@ _CACHE_BYTES = 2**21
 _MULTIPLIERS: OrderedDict[KernelSpec, np.ndarray] = OrderedDict()
 _NO_MULTIPLIERS = np.empty(0)
 _GROW_BLOCK = 2**12
-
-# Scaled orders whose kernel is its exact piecewise polynomial (_scaled_table) at deriv 0.
-_TABLE_ORDERS = range(3, 11)
 
 
 @dataclass(frozen=True)
@@ -341,37 +339,20 @@ def _fold(dtheta) -> np.ndarray:
     return np.where(d > np.pi, 2.0 * np.pi - d, d)
 
 
-def _box_kernel(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
-    """The exact kernel on the period at folded d for N <= 2: a box, 1/(2a) inside, 0 outside
-    and the lateral-limit average at the edge, or two boxes a >= b convolved, overlap / (4ab).
-    The support's half-width is at most 2*pi, so only d and its image 2*pi - d can lie inside;
-    the image lies at pi or past it, so it is exactly 0.0 unless the widths add up to pi."""
-    widths = _stages(spec)
-    image = sum(widths) >= np.pi
-    x = np.stack((d, 2.0 * np.pi - d)) if image else d
-    if spec.order == 1:
-        (a,) = widths
-        v = np.where(x < a, 1.0 / (2.0 * a), np.where(x == a, 1.0 / (4.0 * a), 0.0))
-    else:
-        a, b = widths
-        v = np.clip(np.minimum(x + b, a) - np.maximum(x - b, -a), 0.0, None) / (4.0 * a * b)
-    return v[0] + v[1] if image else v
+@functools.lru_cache(maxsize=None)  # one table per width tuple _closed_form reads
+def _box_table(widths: tuple[int, ...]) -> np.ndarray:
+    """The density of a sum of uniforms on [-w, w], w in widths (powers of two, narrowest first,
+    widths[0] = 1), on u >= 0: row j holds the t^(N-1-j) coefficients of its polynomials in
+    t = u - floor(u) on the cells [c, c+1), c = 0..R-1, R = sum(widths) its support's half-width,
+    and a zero cell c = R past it.  With u = theta/h it is the kernel times h.
 
-
-@functools.lru_cache(maxsize=None)  # one table per order in _TABLE_ORDERS
-def _scaled_table(n: int) -> np.ndarray:
-    """The order-n scaled kernel times h = eps/2^n, a function of u = theta/h alone: row j holds
-    the t^(n-1-j) coefficients of its polynomials in t = u - floor(u) on the cells [c, c+1),
-    c = 0..R-1, R = 2^n - 1 its support's half-width in u, and a zero cell c = R past it.
-
-    The stages are the boxes of half-widths 1, 2, 4, ..., 2^(n-1) with density 1/(2w).  A box
-    of half-width w turns the polynomials p_c, with integrals Q_c(t) = int_0^t p_c, into
+    A box of half-width w turns the polynomials p_c, with integrals Q_c(t) = int_0^t p_c, into
         (S_c + Q_{c+w}(t) - Q_{c-w}(t)) / (2w),   S_c = sum_{j=c-w}^{c+w-1} Q_j(1),
     and S_c, a window of 2w cell masses, adds the masses pairwise by doubling (never as a
     difference of cumulative sums, which loses the small windows of the tail to cancellation).
     """
     p, r = np.full((2, 1), 0.5), 1  # the unit box on its cells -1 and 0, ascending powers
-    for w in (2**j for j in range(1, n)):
+    for w in widths[1:]:
         q = np.zeros((2 * r + 4 * w, p.shape[1] + 1))  # cells -r-2w .. r+2w-1
         q[2 * w : 2 * w + 2 * r, 1:] = p / np.arange(1, p.shape[1] + 1)
         mass = q.sum(axis=1)
@@ -382,28 +363,45 @@ def _scaled_table(n: int) -> np.ndarray:
         p = q[lo + 2 * w] - q[lo]
         p[:, 0] = mass[lo]
         p /= 2 * w
-    table = np.zeros((n, r + 1))
+    table = np.zeros((len(widths), r + 1))
     table[:, :r] = p[r:, ::-1].T
     table.flags.writeable = False
     return table
 
 
-def _piecewise_kernel(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
-    """The exact scaled kernel at folded d, Horner's rule in its order's _scaled_table.
-
-    Its support's half-width is below eps < pi, so no periodic image reaches d.  h = eps/2^N
-    is a normal float (_plan checks it), so u = d/h is finite, and u >= R exactly where
-    d >= total_range(spec) = h R: those points read the zero cell, and are 0.0.
-    """
-    table = _scaled_table(spec.order)
-    h = math.ldexp(spec.range_param, -spec.order)
-    u = d / h
+def _box_spline(table: np.ndarray, h: float, image: bool, d: np.ndarray) -> np.ndarray:
+    """The kernel at folded d, Horner's rule in its _box_table at u = d/h, plus at the image
+    2*pi - d where the widths reach pi (the support's half-width is at most 2*pi, and below pi
+    the image lies past it).  h is a normal float (_closed_form checks it), so u is finite,
+    and u >= R reads the zero cell: 0.0.  A lone box reads 1/4, the mean of its one-sided
+    limits, at its edge u = 1."""
+    u = np.stack((d, 2.0 * np.pi - d)) / h if image else d / h
     cell = np.minimum(u, table.shape[1] - 1).astype(np.intp)  # floor(u) on the support
     t = u - cell
     v = table[0, cell]
     for row in table[1:]:
         v = v * t + row[cell]
-    return v / h
+    if len(table) == 1:
+        v = np.where(u == 1.0, 0.25, v)
+    return (v[0] + v[1] if image else v) / h
+
+
+@functools.lru_cache(maxsize=256)
+def _closed_form(spec: KernelSpec) -> functools.partial | None:
+    """The exact kernel at folded d for N <= 2 and scaled N <= 10, else None.
+
+    In units of its narrowest stage h the stages are boxes of integer half-widths, one per
+    stage, which key its _box_table.  h must be a normal float, so the values stay finite;
+    below that a spec keeps the series and its NonConvergenceError.
+    """
+    if spec.order > 2 and not (spec.variant == "scaled" and spec.order <= 10):
+        return None
+    stages = _stages(spec)
+    h = stages[-1]
+    if h < sys.float_info.min:
+        return None
+    table = _box_table(tuple(int(a / h) for a in reversed(stages)))
+    return functools.partial(_box_spline, table, h, sum(stages) >= np.pi)
 
 
 @functools.lru_cache(maxsize=256)
@@ -492,8 +490,8 @@ def _plan(spec: KernelSpec, deriv: int, opts: EvalOptions, caller: str, radius: 
 
     Checks deriv >= 0 is an integer, order >= 1 at deriv 0 and r = 1 (order 0 is the
     delta kernel), and N >= deriv + 2 for absolute convergence.  At deriv 0 and r = 1, N <= 2
-    has a closed form, the box kernel on the period, and so has scaled N in _TABLE_ORDERS, its
-    exact piecewise polynomial, while eps/2^N is a normal float (its values then stay finite).
+    and scaled N <= 10 have a closed form (_closed_form), their box-spline table on the period,
+    while the narrowest stage h is a normal float (the values then stay finite).
     Else K is the tail rule's and w_k = +-k^deriv m_k: d^n/dtheta^n cos(k theta) cycles
     -k^n sin, -k^n cos, +k^n sin, +k^n cos.
     """
@@ -505,13 +503,9 @@ def _plan(spec: KernelSpec, deriv: int, opts: EvalOptions, caller: str, radius: 
             f"derivative of order {deriv} needs steps >= {deriv + 2}, got {spec.order}"
         )
     const = 1.0 / (2.0 * np.pi) if deriv == 0 else 0.0
-    if deriv == 0 and radius == 1.0:
-        if spec.order <= 2:
-            return _Plan(const, "cosine", _NO_MULTIPLIERS, functools.partial(_box_kernel, spec))
-        if (spec.variant == "scaled" and spec.order in _TABLE_ORDERS
-                and math.ldexp(spec.range_param, -spec.order) >= sys.float_info.min):
-            exact = functools.partial(_piecewise_kernel, spec)
-            return _Plan(const, "cosine", _NO_MULTIPLIERS, exact)
+    closed = _closed_form(spec) if deriv == 0 and radius == 1.0 else None
+    if closed is not None:
+        return _Plan(const, "cosine", _NO_MULTIPLIERS, closed)
     K = _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius)
     weights = _multipliers(spec, K)
     if deriv:
@@ -523,8 +517,8 @@ def _plan(spec: KernelSpec, deriv: int, opts: EvalOptions, caller: str, radius: 
 def kernel_eval(spec: KernelSpec, dtheta, opts: EvalOptions | None = None, deriv: int = 0):
     """The kernel (deriv = 0) or its deriv-th derivative at separation dtheta (scalar or array).
 
-    Its plan (_plan) takes the exact closed form at deriv 0 for N = 1 and N = 2, and
-    for scaled N = 3..10, or else sums the series, differentiated term by term
+    Its plan (_plan) takes the exact closed form at deriv 0 for N <= 2 and
+    for scaled N <= 10, or else sums the series, differentiated term by term
     (N >= deriv + 2), truncated where the rigorous tail bound drops below
     opts.tail_tol.  Order 0 is the delta kernel and is not evaluable pointwise.
     ValueError unless every angle is finite.

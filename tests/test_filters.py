@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from sincfilters import (
     render_signal,
     scaled_kernel_derivative,
     sinc,
+    stage_range,
     theta_grid,
     total_range,
 )
@@ -487,40 +489,87 @@ def test_periodised_grid_is_the_in_range_spec_bit_for_bit(variant):
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (order, eps, opts)
 
 
-# ---------------------------------------------------------------- exact scaled kernels, N = 3..10
+# ---------------------------------------------------------------- exact kernels: box-spline tables
 
 TABLE_SPECS = [KernelSpec(n, eps, "scaled") for n in range(3, 11) for eps in (0.05, 0.5, 3.0)]
 
 
+def _on_the_period(n, eps, variant):
+    """The spec, or its _Periodised twin where the total range passes pi."""
+    try:
+        return KernelSpec(n, eps, variant)
+    except ValueError:
+        return _Periodised(n, eps, variant)
+
+
+# N = 1 and 2 of every variant; naive N = 2 from eps 2.0 and gaussian N = 2 at 2.5 pass pi
+BOX_SPECS = [_on_the_period(n, eps, v) for v in ("naive", "fixed", "gaussian", "scaled")
+             for n in (1, 2) for eps in (0.05, 0.5, 2.0, 2.5)]
+# the width tuples of every table: scaled N = 1..10 (N = 1 is also the equal-stage box), and the
+# equal-stage N = 2
+TABLE_WIDTHS = [(1, 1)] + [tuple(2**j for j in range(n)) for n in range(1, 11)]
+
+
 def _spec_id(spec):
-    return f"N{spec.order}-eps{spec.range_param}"
+    return ("" if spec.variant == "scaled" else f"{spec.variant}-") + (
+        f"N{spec.order}-eps{spec.range_param}")
 
 
-def _exact_scaled(spec, theta):
-    """The scaled kernel at theta in exact rationals, independently of the package's recurrence.
+def _widths_id(widths):
+    return "-".join(map(str, widths)) if widths == (1, 1) else str(len(widths))
 
-    In u = theta 2^N / eps it is the density of a sum of uniforms on [-w, w], w = 2^(N-1), .., 2, 1:
-    sum_s (prod s) (u + s.w)_+^(N-1) / ((N-1)! prod(2w)).  s.w = 2m - R runs over the odd integers
-    |j| <= R = 2^N - 1 as m = 0..R, with prod s = (-1)^(N - popcount(m)).
+
+def _unit_widths(spec):
+    """The narrowest stage h as a Fraction and the stages' half-widths in units of h."""
+    if spec.variant == "scaled":
+        return Fraction(spec.range_param) / 2**spec.order, [2**j for j in range(spec.order)]
+    return Fraction(stage_range(spec)), [1] * spec.order
+
+
+def _signed_shifts(widths):
+    """{s.w: sum of prod s} over the sign vectors s, one sign per width."""
+    signed = {}
+    for signs in itertools.product((1, -1), repeat=len(widths)):
+        shift = sum(s * w for s, w in zip(signs, widths))
+        signed[shift] = signed.get(shift, 0) + math.prod(signs)
+    return signed
+
+
+def _exact_kernel(spec, theta):
+    """The kernel at theta in exact rationals, independently of the package's recurrence.
+
+    In u = theta / h it is the density of a sum of uniforms on [-w, w], one per stage:
+    sum_s (prod s) (u + s.w)_+^(N-1) / ((N-1)! prod(2w)) over the sign vectors s, with
+    x_+^0 = 1/2 at x = 0, the mean of the box's one-sided limits at its edge.  On the period
+    it sums the images theta + 2 pi j (2 pi as its float) inside the support, which for N <= 2
+    and scaled is at most 2 pi wide, so j = -2..2 holds them.
     """
-    n = spec.order
-    h = Fraction(spec.range_param) / 2**n
-    u = abs(Fraction(theta)) / h
-    top = 2**n - 1
-    num = sum((-1) ** (n - m.bit_count()) * (u.numerator + (2 * m - top) * u.denominator) ** (n - 1)
-              for m in range(top + 1) if u + 2 * m - top > 0)
-    norm = u.denominator ** (n - 1) * math.factorial(n - 1) * 2**n * 2 ** (n * (n - 1) // 2)
-    return Fraction(num, norm) / h
+    h, widths = _unit_widths(spec)
+    n, signed = len(widths), _signed_shifts(widths)
+    norm = math.factorial(n - 1) * math.prod(2 * w for w in widths)
+    total = Fraction(0)
+    for j in range(-2, 3):
+        u = (Fraction(theta) + j * Fraction(2 * math.pi)) / h
+        if abs(u) > sum(widths):
+            continue
+        p, q = u.numerator, u.denominator  # x = u + shift = (p + shift q) / q
+        num = sum(c * (p + shift * q) ** (n - 1) for shift, c in signed.items() if p + shift * q > 0)
+        if n == 1:
+            num += sum(Fraction(c, 2) for shift, c in signed.items() if p + shift * q == 0)
+        total += Fraction(num, q ** (n - 1))
+    return total / norm / h
 
 
-@pytest.mark.parametrize("spec", TABLE_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("spec", BOX_SPECS + TABLE_SPECS, ids=_spec_id)
 def test_scaled_table_is_the_exact_kernel(spec):
-    # within 2 ulp of the kernel's maximum (its value at 0) at seeded points of the support
+    # within 2 ulp of the kernel's maximum (its value at 0) at seeded points of the support,
+    # its edges (for N = 1 the jump, read as the mean of its limits) and pi
     rng = np.random.default_rng([spec.order, int(spec.range_param * 100)])
-    thetas = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 16) * total_range(spec)])
-    ulp = math.ulp(float(_exact_scaled(spec, 0.0)))
+    edge = min(total_range(spec), np.pi)
+    thetas = np.concatenate([[0.0, edge, -edge, np.pi], rng.uniform(-1.0, 1.0, 16) * edge])
+    ulp = math.ulp(float(_exact_kernel(spec, 0.0)))
     for theta, value in zip(thetas, kernel_eval(spec, thetas)):
-        assert abs(Fraction(value) - _exact_scaled(spec, theta)) <= 2 * ulp, theta
+        assert abs(Fraction(value) - _exact_kernel(spec, theta)) <= 2 * ulp, theta
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=_spec_id)
@@ -552,53 +601,71 @@ def test_scaled_table_is_even_and_zero_past_its_support(spec):
     assert np.all(kernel_eval(spec, outside) == 0.0)
 
 
-@pytest.mark.parametrize("order", range(3, 11))
-def test_scaled_table_mass_is_one(order):
+@pytest.mark.parametrize("widths", TABLE_WIDTHS, ids=_widths_id)
+def test_scaled_table_mass_is_one(widths):
     # the float coefficients' exact rational integral is 1 within one ulp (their rounding)
-    from sincfilters.filters import _scaled_table
+    from sincfilters.filters import _box_table
 
-    rows = zip(_scaled_table(order), range(order, 0, -1))  # t^(k-1) integrates to 1/k on a cell
+    order = len(widths)
+    rows = zip(_box_table(widths), range(order, 0, -1))  # t^(k-1) integrates to 1/k on a cell
     mass = 2 * sum(Fraction(c) / k for row, k in rows for c in row.tolist())
     assert abs(mass - 1) <= Fraction(2**-52)
-    # and _exact_scaled's density integrates to exactly 1: its primitive at u = R is
-    # sum_m (prod s) (2m)^N / (N! prod(2w))
-    top = 2**order - 1
-    primitive = sum((-1) ** (order - m.bit_count()) * (2 * m) ** order for m in range(top + 1))
-    assert primitive == math.factorial(order) * 2**order * 2 ** (order * (order - 1) // 2)
+    # and _exact_kernel's density integrates to exactly 1: its primitive at u = R is
+    # sum_s (prod s) (R + s.w)^N / (N! prod(2w))
+    top = sum(widths)
+    primitive = sum(c * (top + shift) ** order for shift, c in _signed_shifts(widths).items())
+    assert primitive == math.factorial(order) * math.prod(2 * w for w in widths)
 
 
 def test_scaled_tables_take_only_their_specs():
-    # scaled N = 3..10 at deriv 0 with eps / 2^N a normal float; the rest keep the series
-    from sincfilters.filters import _plan
+    # N <= 2 of every variant and scaled N = 3..10 at deriv 0 with their narrowest stage a normal
+    # float read one of the TABLE_WIDTHS tables; equal-stage N >= 3, scaled N >= 11 and every
+    # derivative keep the series
+    from sincfilters.filters import _box_table, _plan
 
     opts = EvalOptions()
-    for spec in TABLE_SPECS + [KernelSpec(10, 2.0**-1012, "scaled"), _Periodised(3, 0.5, "scaled")]:
+    tables = [_box_table(widths) for widths in TABLE_WIDTHS]
+    for spec in BOX_SPECS + TABLE_SPECS + [KernelSpec(10, 2.0**-1012, "scaled"),
+                                           _Periodised(3, 0.5, "scaled")]:
         plan = _plan(spec, 0, opts, "kernel_eval")
         assert plan.closed is not None and plan.weights.size == 0
-    for spec, deriv in [(KernelSpec(11, 0.5, "scaled"), 0), (KernelSpec(10, 0.5, "scaled"), 1),
-                        (KernelSpec(10, 0.5, "scaled"), 2), (KernelSpec(6, 0.5, "fixed"), 0),
-                        (KernelSpec(8, 0.5, "gaussian"), 0), (KernelSpec(4, 0.5, "naive"), 0)]:
-        assert _plan(spec, deriv, opts, "kernel_eval").closed is None
+        assert any(plan.closed.args[0] is table for table in tables), spec
+    series = [(KernelSpec(3, 0.5, v), 0) for v in ("naive", "fixed", "gaussian")]
+    series += [(KernelSpec(11, 0.5, "scaled"), 0), (KernelSpec(6, 0.5, "fixed"), 0),
+               (KernelSpec(8, 0.5, "gaussian"), 0), (KernelSpec(4, 0.5, "naive"), 0)]
+    series += [(KernelSpec(n, 0.3, v), deriv) for v in ("naive", "fixed", "gaussian", "scaled")
+               for n, deriv in ((4, 1), (6, 2), (10, 1), (10, 2))]
+    for spec, deriv in series:  # at a tol that N = 3 reaches
+        assert _plan(spec, deriv, EvalOptions(tail_tol=1e-6), "kernel_eval").closed is None, (spec, deriv)
 
 
 @pytest.mark.parametrize("eps", [1e-310, 5e-324])
 def test_scaled_kernel_at_a_subnormal_stage_width_does_not_converge(eps):
-    # eps / 2^3 is subnormal or 0: the series' NonConvergenceError, never inf, nan or a warning
-    spec = KernelSpec(3, eps, "scaled")
-    for evaluate in (lambda: kernel_eval(spec, [0.0, 1e-320, 0.1]), lambda: kernel_grid(spec, 64)):
-        with pytest.raises(NonConvergenceError):
-            evaluate()
+    # the narrowest stage (eps / 2^3 for scaled N = 3, and N = 1 and 2 of every variant) is
+    # subnormal or 0: the series' NonConvergenceError, never inf, nan or a warning
+    specs = [KernelSpec(3, eps, "scaled")]
+    specs += [KernelSpec(n, eps, v) for v in ("naive", "fixed", "gaussian", "scaled") for n in (1, 2)]
+    for spec in specs:
+        for evaluate in (lambda: kernel_eval(spec, [0.0, 1e-320, 0.1]),
+                         lambda: kernel_grid(spec, 64)):
+            with pytest.raises(NonConvergenceError):
+                evaluate()
 
 
 def test_scaled_table_at_the_smallest_normal_stage_width():
-    # h = eps / 2^N = 2^-1022: u = theta / h reaches 1.4e308, and the peak 1/eps is finite
-    for order in (3, 10):
-        eps = 2.0 ** (order - 1022)
-        spec = KernelSpec(order, eps, "scaled")
-        assert kernel_eval(spec, 0.0) == pytest.approx(1 / eps, rel=1e-15)
-        assert kernel_eval(spec, [np.pi, 1e-300, 3 * eps]).tolist() == [0.0, 0.0, 0.0]
+    # h = 2^-1022: u = theta / h reaches 1.4e308, and the peak stays finite (scaled: 1/eps)
+    h = 2.0**-1022
+    specs = [KernelSpec(order, 2.0**order * h, "scaled") for order in (1, 2, 3, 10)]
+    specs += [KernelSpec(n, scale * h, v) for n in (1, 2)
+              for v, scale in (("naive", 1), ("fixed", n), ("gaussian", math.sqrt(n)))]
+    for spec in specs:
+        assert kernel_eval(spec, 0.0) == pytest.approx(float(_exact_kernel(spec, 0.0)), rel=1e-15)
+        assert kernel_eval(spec, [np.pi, 1e-300, 3 * spec.range_param]).tolist() == [0.0] * 3
         v = kernel_grid(spec, 1023)
         assert v[0] == 0.0 and np.all(np.isfinite(v))
+    for order in (3, 10):
+        assert kernel_eval(KernelSpec(order, 2.0**order * h, "scaled"), 0.0) == pytest.approx(
+            2.0**-order / h, rel=1e-15)
 
 
 def test_hat_kernel_closed_form_and_oracle():

@@ -24,7 +24,7 @@ from .filters import KernelSpec, _filtered, _plan
 from .series import (
     DEFAULT_OPTIONS,
     EvalOptions,
-    _coefficient_array,
+    _finite_vector,
     _load_json,
     _power_sum,
     _save_json,
@@ -55,7 +55,7 @@ class InnerAnalytic:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coefficient_array(self.coeffs))
+        object.__setattr__(self, "coeffs", _finite_vector(self.coeffs))
 
     def __len__(self) -> int:
         return int(self.coeffs.size)

@@ -221,9 +221,9 @@ def filter_multiplier(k, spec: KernelSpec):
     out = np.ones_like(flat)
     lo = 0  # flat[:lo] has no factor left that differs from 1.0
     for a, mult in _stage_groups(spec):
-        arg = flat[lo:] * a
-        if arg.size and not np.isfinite(arg[-1]):
+        if flat.size and not math.isfinite(float(flat[-1]) * a):  # a Python float: no warning
             raise ValueError("sinc argument must be finite")
+        arg = flat[lo:] * a
         skip, cut = np.searchsorted(arg, (_NEGLIGIBLE_ARG, _SINC_TAYLOR_CUT))
         if skip == arg.size:
             break
@@ -442,7 +442,7 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float 
     The one rule is the envelope integral of _envelope_cutoff.  At a radius
     ratio r < 1 (deriv 0 only) |m_k| <= 1 also gives the geometric tail
     r^(K+1) / (pi (1 - r)), and the smaller K wins.
-    Raises NonConvergenceError when no rule reaches tol within k_max.
+    Raises NonConvergenceError when no rule reaches tol within k_max, and says why if none can.
     """
     k_need = _envelope_cutoff(spec, deriv, tol)
     if radius < 1.0:
@@ -455,9 +455,19 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float 
         k_need = min(k_need, math.ceil(max(log_budget / math.log(radius), 1.0)))
     if k_need > k_max:
         where = f" at radius ratio {radius}" if radius < 1.0 else ""
+        series = f"{spec.variant} kernel series (N={spec.order}, derivative order {deriv}){where}"
+        if math.isinf(k_need):  # no tail_tol or k_max can help: say why
+            n = sum(mult for a, mult in itertools.islice(_stage_groups(spec), 60) if a > 0)
+            why = (f"it has {n} stage(s) of nonzero width and its tail rule needs {deriv + 2}"
+                   if n < deriv + 2 else "its stages are too narrow for a K in the float range")
+            if deriv == 0 and 1 <= spec.order <= (10 if spec.variant == "scaled" else 2):
+                h = _stages(spec)[-1]  # _closed_form's table needs a normal h
+                if h < sys.float_info.min:
+                    why += f"; its narrowest stage, {h:.3g}, is below the normal floats: no table"
+            raise NonConvergenceError(f"{series} has no finite cutoff: {why}. "
+                                      "No tail_tol or k_max can help: widen eps or change N.")
         raise NonConvergenceError(
-            f"{spec.variant} kernel series (N={spec.order}, derivative order {deriv}){where} needs "
-            f"{k_need} harmonics to reach tail_tol={tol}; k_max={k_max}. "
+            f"{series} needs {k_need} harmonics to reach tail_tol={tol}; k_max={k_max}. "
             f"Loosen tail_tol or raise k_max."
         )
     return int(k_need)

@@ -47,7 +47,7 @@ _CHUNK_BYTES = 2**25
 # load_signal accepts a theta within this fraction of the grid step of theta_j.
 _THETA_SLACK = 1e-3
 
-# _write_rows formats this many rows with one % operation; _grid_rows keeps this many blocks.
+# _write_rows formats this many rows with one % operation; _grid_cells keeps this many blocks.
 _ROW_BLOCK = 4096
 _GRID_BLOCKS = 4
 
@@ -86,16 +86,18 @@ class EvalOptions:
 DEFAULT_OPTIONS = EvalOptions()
 
 
-def _coefficient_array(coeffs) -> np.ndarray:
-    """a_1..a_K of either side of the pair as floats; ValueError unless 1-D and finite."""
+def _finite_vector(values, least: int = 0, shape: str = "coeffs must be a one-dimensional sequence",
+                   finite: str = "coefficients must all be finite") -> np.ndarray:
+    """values as a 1-D float array, by default a_1..a_K of either side of the pair.
+    ValueError(shape) unless 1-D with >= least elements, ValueError(finite) unless all finite."""
     try:
-        arr = np.asarray(coeffs, dtype=float)
+        arr = np.asarray(values, dtype=float)
     except OverflowError:  # an integer past the float range
-        raise ValueError("coefficients must all be finite") from None
-    if arr.ndim != 1:
-        raise ValueError("coeffs must be a one-dimensional sequence")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("coefficients must all be finite")
+        raise ValueError(finite) from None
+    if arr.ndim != 1 or arr.size < least:
+        raise ValueError(shape)
+    if not np.isfinite(arr).all():
+        raise ValueError(finite)
     return arr
 
 
@@ -112,7 +114,7 @@ class HarmonicCoefficients:
     def __post_init__(self) -> None:
         if self.parity not in PARITIES:
             raise ValueError(f"parity must be one of {PARITIES}, got {self.parity!r}")
-        object.__setattr__(self, "coeffs", _coefficient_array(self.coeffs))
+        object.__setattr__(self, "coeffs", _finite_vector(self.coeffs))
 
     def __len__(self) -> int:
         return int(self.coeffs.size)
@@ -125,12 +127,9 @@ class SampledSignal:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("values must be a non-empty one-dimensional sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("signal values must all be finite")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _finite_vector(
+            self.values, 1, "values must be a non-empty one-dimensional sequence",
+            "signal values must all be finite"))
 
     @property
     def resolution(self) -> int:
@@ -305,16 +304,10 @@ def _rows(x_cell: str, xs: list) -> str:
 
 
 @functools.lru_cache(maxsize=_GRID_BLOCKS)
-def _grid_rows(resolution: int, lo: int) -> str:
-    """_rows of theta_j, j = lo..lo+_ROW_BLOCK-1 (below M), at 17 significant digits."""
-    j = np.arange(lo, min(lo + _ROW_BLOCK, resolution))
-    return _rows("%.17g", _thetas(j, resolution).tolist())
-
-
-@functools.lru_cache(maxsize=_GRID_BLOCKS)
 def _grid_cells(resolution: int, lo: int) -> tuple[str, ...]:
-    """The "theta_j," cell of each row of _grid_rows(resolution, lo)."""
-    return tuple(_grid_rows(resolution, lo).split("%.17g\n")[:-1])
+    """The "theta_j," cell of rows j = lo..lo+_ROW_BLOCK-1 (below M), theta_j at %.17g."""
+    j = np.arange(lo, min(lo + _ROW_BLOCK, resolution))
+    return tuple(_rows("%.17g", _thetas(j, resolution).tolist()).split("%.17g\n")[:-1])
 
 
 _SIGNS = np.array(["", "-"], dtype=object)
@@ -364,34 +357,29 @@ def _mirrored_cells(ys: np.ndarray) -> Callable[[int], tuple[list, list]] | None
 def _write_rows(path, header: tuple[str, str], xs, ys) -> None:
     """Two-column CSV with LF line ends: integers as integers, floats at 17 significant digits.
 
-    xs is the x column, or the resolution M of the grid theta_j, whose block
-    templates and x cells are memoised (_grid_rows, _grid_cells).  Each block
+    xs is the x column, or the resolution M of the grid theta_j.  Each block
     of _ROW_BLOCK rows is a template that holds its x cells and a %.17g slot
     per y, filled by one % over Python scalars: the bytes of formatting every
     value with .17g, as %d equals .17g for |k| < 10^17.  A grid of M values
-    that mirrors (_mirrored_cells) formats only its distinct half and joins
-    each row from its x cell, its sign and its magnitude's cell instead.
+    that mirrors (_mirrored_cells), as every definite-parity grid does,
+    formats only its distinct half instead, and joins each row from its
+    memoised theta cell (_grid_cells), its sign and its magnitude's cell.
     """
     ys = np.asarray(ys)
-    if isinstance(xs, (int, np.integer)):
-        m = int(xs)
-        mirrored = _mirrored_cells(ys) if ys.shape == (m,) else None
+    m = int(xs) if isinstance(xs, (int, np.integer)) else None
+    mirrored = _mirrored_cells(ys) if m is not None and ys.shape == (m,) else None
+    xs = _thetas(np.arange(m), m) if m is not None and mirrored is None else np.asarray(xs)
+    x_cell = "%d" if xs.dtype.kind in "iu" else "%.17g"
 
-        def block(lo: int) -> str:
-            if mirrored is None:
-                return _grid_rows(m, lo) % tuple(ys[lo : lo + _ROW_BLOCK].tolist())
-            x_cells = _grid_cells(m, lo)
-            row = [None] * (3 * len(x_cells))
-            row[::3] = x_cells
-            row[1::3], row[2::3] = mirrored(lo)
-            return "".join(row)
-    else:
-        xs = np.asarray(xs)
-        x_cell = "%d" if xs.dtype.kind in "iu" else "%.17g"
-
-        def block(lo: int) -> str:
-            template = _rows(x_cell, xs[lo : lo + _ROW_BLOCK].tolist())
-            return template % tuple(ys[lo : lo + _ROW_BLOCK].tolist())
+    def block(lo: int) -> str:
+        if mirrored is None:
+            rows = slice(lo, lo + _ROW_BLOCK)
+            return _rows(x_cell, xs[rows].tolist()) % tuple(ys[rows].tolist())
+        x_cells = _grid_cells(m, lo)
+        row = [None] * (3 * len(x_cells))
+        row[::3] = x_cells
+        row[1::3], row[2::3] = mirrored(lo)
+        return "".join(row)
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{header[0]},{header[1]}\n")

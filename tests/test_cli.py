@@ -166,7 +166,7 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
                "--points", "64", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "non-convergence" in err
+    assert "non-convergence" in err and "Loosen tail_tol or raise k_max." in err
 
 
 def test_selfcheck_passes(capsys):
@@ -245,7 +245,9 @@ def test_exit_codes_at_extreme_stage_widths(tmp_path, capsys):
     # eps/3 rounds to 0: an identity stage with no breakpoint, so no K reaches tol
     out = str(tmp_path / "z.csv")
     assert main(["kernel", "--N", "3", "--eps", "5e-324", "--points", "64", "--out", out]) == 2
-    assert "non-convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: ") and "no finite cutoff" in err
+    assert "widen eps or change N" in err and "Loosen tail_tol" not in err
     # scaled widths eps/2^n once overflowed at n = 1024; past the 60th stage no byte changes
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["scaled-kernel", "--N", "1100", "--points", "128", "--out", str(a)]) == 0

@@ -273,8 +273,19 @@ def test_complex_kernel_order_zero_is_the_geometric_sum(variant):
 
 
 def test_complex_kernel_radius_ordering():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="radius ordering violated"):
         complex_kernel_eval(KernelSpec(2, 0.5), DiskPoint(0.9, 0.0), 0.8, 0.0)
+    for rho1 in (0.0, -0.5, 1.5, np.nan):
+        with pytest.raises(ValueError, match=r"rho1 must lie in \(0, 1\]"):
+            complex_kernel_eval(KernelSpec(2, 0.5), DiskPoint(0.0, 0.0), rho1, 0.0)
+
+
+def test_disk_point_rejects_a_non_finite_coordinate_or_a_negative_rho():
+    for rho, theta in ((np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, -np.inf)):
+        with pytest.raises(ValueError, match="rho and theta must be finite"):
+            DiskPoint(rho, theta)
+    with pytest.raises(ValueError, match="rho must be non-negative"):
+        DiskPoint(-0.5, 0.0)
 
 
 def test_complex_kernel_quadratures():
@@ -345,6 +356,9 @@ def test_segment_filter_disk_guard():
                                 (0j, nan, 0.0), (0j, inf, 0.0), (0j, 0.1, nan), (0j, 0.1, inf)):
         with pytest.raises(ValueError, match="finite"):
             segment_filter(w, centre, half, alpha)
+    for half in (0.0, -0.1):
+        with pytest.raises(ValueError, match="half_length must be positive"):
+            segment_filter(w, 0j, half, 0.0)
 
 
 def test_cauchy_riemann_residual():

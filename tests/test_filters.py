@@ -176,6 +176,33 @@ def test_zero_width_stages_leave_the_tail_rule():
             _cutoff(spec, 0, 1e-12, 2**20)
 
 
+def test_an_infinite_cutoff_says_why_and_what_to_change():
+    # no tail_tol or k_max reaches tol: the message names eps and N, not tail_tol and k_max
+    from sincfilters.filters import _cutoff
+
+    advice = "No tail_tol or k_max can help: widen eps or change N."
+    for evaluate, why in (
+        (lambda: kernel_eval(KernelSpec(1, 1e-310), 0.1),
+         "it has 1 stage(s) of nonzero width and its tail rule needs 2; its narrowest stage, "
+         "1e-310, is below the normal floats: no table. "),
+        (lambda: kernel_eval(KernelSpec(3, 5e-324), 0.1),
+         "it has 0 stage(s) of nonzero width and its tail rule needs 2. "),
+        (lambda: kernel_eval(KernelSpec(3, 5e-324), 0.1, deriv=1),
+         "it has 0 stage(s) of nonzero width and its tail rule needs 3. "),
+        (lambda: _cutoff(KernelSpec(3, 1e-300, "scaled"), 0, 1e-12, 2**20),
+         "its stages are too narrow for a K in the float range. "),
+    ):
+        with pytest.raises(NonConvergenceError) as info:
+            evaluate()
+        assert str(info.value).endswith("has no finite cutoff: " + why + advice)
+    # a finite K keeps its advice
+    with pytest.raises(NonConvergenceError) as info:
+        kernel_eval(KernelSpec(3, 0.5), 0.1)
+    assert str(info.value) == (
+        "fixed kernel series (N=3, derivative order 0) needs 5863231 harmonics to reach "
+        "tail_tol=1e-12; k_max=1048576. Loosen tail_tol or raise k_max.")
+
+
 def test_geometric_rule_beyond_the_float_range():
     # pi tol (1 - r) overflows: every K reaches tol; it underflows: the same bound in logs
     from sincfilters.filters import _cutoff
@@ -196,6 +223,11 @@ def test_multiplier_rejects_non_finite_harmonics(variant):
     for bad in (np.inf, np.nan, [1.0, np.inf], [np.nan, 2.0]):
         with pytest.raises(ValueError):
             filter_multiplier(bad, spec)
+    for bad in (0.0, 0.5, -3.0, [1.0, 0.0]):
+        with pytest.raises(ValueError, match="harmonic index k must be >= 1"):
+            filter_multiplier(bad, spec)
+    with pytest.raises(ValueError, match="sinc argument must be finite"):  # k * a overflows
+        filter_multiplier([1.0, 1.7e308], KernelSpec(1, 3.0, variant))
 
 
 @pytest.mark.parametrize(
@@ -752,6 +784,8 @@ def test_kernel_integral_examples():
     assert kernel_integral(KernelSpec(1, 0.5, "naive")) == pytest.approx(1.0, abs=1e-8)
     assert kernel_integral(KernelSpec(4, 0.5, "fixed")) == pytest.approx(1.0, abs=1e-10)
     assert kernel_integral(KernelSpec(2, np.pi, "fixed")) == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(ValueError, match="kernel_integral requires order >= 1"):
+        kernel_integral(KernelSpec(0, 0.5))
 
 
 def test_tail_rule_bounds_the_computed_tail():

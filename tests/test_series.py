@@ -186,6 +186,25 @@ def test_invalid_inputs_rejected(tmp_path):
         warnings.simplefilter("error")  # rejected without a warning first
         with pytest.raises(ValueError):
             load_signal(header_only)
+    path = tmp_path / "s.csv"
+    path.write_text("x,value\n-3.141592653589793,1.0\n")
+    with pytest.raises(ValueError, match="expected a theta,value CSV header"):
+        load_signal(path)
+    for rows in ("-3.141592653589793\n0\n", "-3.141592653589793,1.0,2.0\n0,1.0,2.0\n"):
+        path.write_text("theta,value\n" + rows)
+        with pytest.raises(ValueError, match="expected theta,value rows of exactly two cells"):
+            load_signal(path)
+    for tol in (0.0, -1e-12, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tail_tol must be a positive finite real"):
+            EvalOptions(tail_tol=tol)
+    with pytest.raises(ValueError, match="coeffs must be a one-dimensional sequence"):
+        HarmonicCoefficients("cosine", [[1.0, 2.0]])
+    for values in ([], [[1.0, 2.0]], 1.0):
+        with pytest.raises(ValueError, match="values must be a non-empty one-dimensional"):
+            SampledSignal(values)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="signal values must all be finite"):
+            SampledSignal([1.0, bad])
 
 
 def test_loaders_reject_an_integer_past_the_float_range(tmp_path):
@@ -195,6 +214,8 @@ def test_loaders_reject_an_integer_past_the_float_range(tmp_path):
     for load in (load_coefficients, load_inner):
         with pytest.raises(ValueError, match="finite"):
             load(path)
+    with pytest.raises(ValueError, match="signal values must all be finite"):  # their conversion
+        SampledSignal([1.5, 10**400])
 
 
 def test_coefficient_json_roundtrip(tmp_path):
@@ -247,8 +268,8 @@ def test_write_rows_matches_per_row_format(tmp_path, rows):
         got = (tmp_path / f"{name}.csv").read_bytes()
         assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
     assert (tmp_path / "k_float.csv").read_text().splitlines()[-1].startswith("1048576,")
-    # the grid as a resolution (memoised row templates) and as a theta array, cold then warm,
-    # with two resolutions interleaved
+    # the grid as a resolution (values that do not mirror: the template of any x column) and
+    # as a theta array, twice, with two resolutions interleaved
     grids = {m: np.resize(floats, m) for m in (rows, rows + 1)}
     for m, ys in grids.items():
         _per_row_rows(tmp_path / f"grid{m}_ref.csv", ("theta", "value"), theta_grid(m), ys)

@@ -24,6 +24,7 @@ from .filters import KernelSpec, _filtered, _plan
 from .series import (
     DEFAULT_OPTIONS,
     EvalOptions,
+    _finite,
     _finite_vector,
     _load_json,
     _power_sum,
@@ -69,9 +70,8 @@ class DiskPoint:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.rho) and np.isfinite(self.theta)):
-            raise ValueError("rho and theta must be finite")
-        if self.rho < 0.0:
+        _finite(self.theta, "rho and theta must be finite")
+        if _finite(self.rho, "rho and theta must be finite") < 0.0:
             raise ValueError("rho must be non-negative")
 
 
@@ -174,17 +174,20 @@ def complex_kernel_eval(
     function with coefficients m_k at z/z1, K cut by the tail rule at rho/rho1.
     """
     opts = opts or DEFAULT_OPTIONS
-    rho1 = float(rho1)
+    rho1 = float(_finite(rho1, "rho1 must lie in (0, 1]"))
     if not (0.0 < rho1 <= 1.0):
         raise ValueError("rho1 must lie in (0, 1]")
+    message = "rho and theta must be finite"
+    _finite(theta1, message)
     if p.rho >= rho1:
         raise ValueError(f"radius ordering violated: need rho < rho1, got {p.rho} >= {rho1}")
     r = p.rho / rho1
     if r == 0.0:
         return complex(1.0 / (2.0 * np.pi))
     plan = _plan(spec, 0, opts, "complex_kernel_eval", radius=r)
-    value = _on_circle(plan.weights, DiskPoint(r, p.theta - theta1), [0.0], opts)[0]
-    return plan.const + complex(value) / np.pi
+    angle = _finite(p.theta - theta1, message)  # two finite angles can be 3.4e308 apart
+    x = np.array([complex(math.log(r), angle + 0.0)])  # + 0.0 sums -0.0 as _on_circle does
+    return plan.const + complex(_power_sum(plan.weights, x)[0]) / np.pi
 
 
 def segment_filter(
@@ -205,9 +208,9 @@ def segment_filter(
     endpoint modulus.
     """
     opts = opts or DEFAULT_OPTIONS
-    half_length, alpha = float(half_length), float(alpha)
-    if not np.isfinite([z_center, half_length, alpha]).all():
-        raise ValueError("z_center, half_length and alpha must be finite")
+    message = "z_center, half_length and alpha must be finite"
+    z_center = _finite(z_center, message, complex)
+    half_length, alpha = float(_finite(half_length, message)), float(_finite(alpha, message))
     if half_length <= 0.0:
         raise ValueError("half_length must be positive")
     direction = np.exp(1j * alpha)

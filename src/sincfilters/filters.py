@@ -57,6 +57,7 @@ from .series import (
     EvalOptions,
     HarmonicCoefficients,
     SampledSignal,
+    _finite,
     _grid_values,
     _mirror,
     _point_values,
@@ -109,14 +110,11 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        try:
-            finite = math.isfinite(self.order)  # False for NaN and +-inf
-        except OverflowError:  # an integer past the float range
-            finite = False
-        if not finite or int(self.order) != self.order or self.order < 0:
-            raise ValueError("order must be a non-negative integer")
+        message = "order must be a non-negative integer"
+        if _finite(self.order, message) < 0 or int(self.order) != self.order:
+            raise ValueError(message)
         object.__setattr__(self, "order", int(self.order))
-        eps = float(self.range_param)
+        eps = float(_finite(self.range_param, "range_param must lie in (0, pi]"))
         if not (0.0 < eps <= np.pi):
             raise ValueError("range_param must lie in (0, pi]")
         if self.variant == "scaled" and eps == np.pi:
@@ -146,9 +144,7 @@ class _Periodised(KernelSpec):
 
 def sinc(x):
     """sin(x)/x with a Taylor fallback 1 - x^2/6 for |x| < 1e-4 (x^4/120 is under half an ulp)."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sinc argument must be finite")
+    arr = np.asarray(_finite(x, "sinc argument must be finite"))
     small = np.abs(arr) < _SINC_TAYLOR_CUT
     out = np.empty_like(arr)
     x = arr[~small]
@@ -181,11 +177,6 @@ def stage_range(spec: KernelSpec) -> float:
     return next(_stage_groups(spec), (0.0, 0))[0]
 
 
-def _stages(spec: KernelSpec) -> list[float]:
-    """Half-widths a_1..a_N of the first-order passes composing the filter."""
-    return [a for a, mult in _stage_groups(spec) for _ in range(mult)]
-
-
 def total_range(spec: KernelSpec) -> float:
     """Half-width of the kernel's support."""
     if spec.order == 0:
@@ -209,9 +200,7 @@ def filter_multiplier(k, spec: KernelSpec):
     group with none left.  N = 0 is the identity (1).  A scalar k gives the bits
     of the one-element array.
     """
-    karr = np.asarray(k, dtype=float)
-    if not np.all(np.isfinite(karr)):
-        raise ValueError("harmonic index k must be finite")
+    karr = np.asarray(_finite(k, "harmonic index k must be finite"))
     if np.any(karr < 1):
         raise ValueError("harmonic index k must be >= 1")
     flat = karr.ravel()
@@ -278,17 +267,6 @@ def apply_filter_coeffs(coeffs: HarmonicCoefficients, spec: KernelSpec) -> Harmo
     return HarmonicCoefficients(coeffs.parity, _filtered(coeffs.coeffs, spec))
 
 
-def _fractional_index(x: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split angles into (whole periods, node index, in-cell fraction)."""
-    h = 2.0 * np.pi / resolution
-    t = (x + np.pi) / h
-    wraps = np.floor(t / resolution)
-    t = t - wraps * resolution
-    # rounding in the reduction can leave t a hair outside [0, resolution)
-    idx = np.clip(np.floor(t).astype(int), 0, resolution - 1)
-    return wraps, idx, t - idx
-
-
 def filter_direct(signal: SampledSignal, eps: float) -> SampledSignal:
     """Symmetric moving average (1/2eps) * integral over [theta-eps, theta+eps].
 
@@ -316,7 +294,12 @@ def filter_direct(signal: SampledSignal, eps: float) -> SampledSignal:
     slope = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
 
     def window_edge(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        wraps, i, frac = _fractional_index(x, m)
+        t = (x + np.pi) / h  # whole periods, node index i and in-cell fraction
+        wraps = np.floor(t / m)
+        t = t - wraps * m
+        # rounding in the reduction can leave t a hair outside [0, m)
+        i = np.clip(np.floor(t).astype(int), 0, m - 1)
+        frac = t - i
         vi = v[i]
         vnext = v[(i + 1) % m]
         fragment = h * (vi * frac + 0.5 * (vnext - vi) * frac * frac)
@@ -387,8 +370,8 @@ def _box_spline(table: np.ndarray, h: float, image: bool, d: np.ndarray) -> np.n
 
 
 @functools.lru_cache(maxsize=256)
-def _closed_form(spec: KernelSpec) -> functools.partial | None:
-    """The exact kernel at folded d for N <= 2 and scaled N <= 10, else None.
+def _closed_form(spec: KernelSpec) -> _Plan | None:
+    """The _Plan of the exact kernel at folded d for N <= 2 and scaled N <= 10, else None.
 
     In units of its narrowest stage h the stages are boxes of integer half-widths, one per
     stage, which key its _box_table.  h must be a normal float, so the values stay finite;
@@ -396,12 +379,14 @@ def _closed_form(spec: KernelSpec) -> functools.partial | None:
     """
     if spec.order > 2 and not (spec.variant == "scaled" and spec.order <= 10):
         return None
-    stages = _stages(spec)
-    h = stages[-1]
+    groups = list(_stage_groups(spec))
+    h = groups[-1][0]
     if h < sys.float_info.min:
         return None
-    table = _box_table(tuple(int(a / h) for a in reversed(stages)))
-    return functools.partial(_box_spline, table, h, sum(stages) >= np.pi)
+    table = _box_table(tuple(int(a / h) for a, mult in reversed(groups) for _ in range(mult)))
+    image = sum(a * mult for a, mult in groups) >= np.pi  # mult <= 2 here: 2a is a + a
+    return _Plan(1.0 / (2.0 * np.pi), "cosine", _NO_MULTIPLIERS,
+                 functools.partial(_box_spline, table, h, image))
 
 
 @functools.lru_cache(maxsize=256)
@@ -461,7 +446,7 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float 
             why = (f"it has {n} stage(s) of nonzero width and its tail rule needs {deriv + 2}"
                    if n < deriv + 2 else "its stages are too narrow for a K in the float range")
             if deriv == 0 and 1 <= spec.order <= (10 if spec.variant == "scaled" else 2):
-                h = _stages(spec)[-1]  # _closed_form's table needs a normal h
+                h = min(a for a, _ in _stage_groups(spec))  # _closed_form's table needs a normal h
                 if h < sys.float_info.min:
                     why += f"; its narrowest stage, {h:.3g}, is below the normal floats: no table"
             raise NonConvergenceError(f"{series} has no finite cutoff: {why}. "
@@ -512,10 +497,10 @@ def _plan(spec: KernelSpec, deriv: int, opts: EvalOptions, caller: str, radius: 
         raise InsufficientOrderError(
             f"derivative of order {deriv} needs steps >= {deriv + 2}, got {spec.order}"
         )
+    plan = _closed_form(spec) if deriv == 0 and radius == 1.0 else None
+    if plan is not None:
+        return plan
     const = 1.0 / (2.0 * np.pi) if deriv == 0 else 0.0
-    closed = _closed_form(spec) if deriv == 0 and radius == 1.0 else None
-    if closed is not None:
-        return _Plan(const, "cosine", _NO_MULTIPLIERS, closed)
     K = _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius)
     weights = _multipliers(spec, K)
     if deriv:

@@ -8,6 +8,7 @@ with math.fsum instead of numpy reductions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,16 @@ class OracleConfig:
 DEFAULT_ORACLE = OracleConfig()
 
 
-def _average(f, theta, stage_ranges, cfg: OracleConfig | None):
+def oracle_iterated_filter(f, theta, stage_ranges, cfg: OracleConfig | None = None):
+    """Nested moving averages, innermost stage last, as one composite rule.
+
+    Stage s's Simpson step 2*eps_s/n must be an integer multiple m_s <= 64
+    of the finest step h (equal and dyadic stages are), else ValueError.
+    The stage weights, zero-stuffed to step m_s*h, are convolved into one
+    rule on the lattice of step h over [-sum eps_s, sum eps_s]: f runs once
+    per node, so its evaluations grow as n*sum(m_s), not n^depth.  Depth is
+    capped at 6.
+    """
     cfg = cfg or DEFAULT_ORACLE
     stages = [float(eps) for eps in stage_ranges]
     if len(stages) > _MAX_DEPTH or not all(0.0 < eps <= math.pi for eps in stages):
@@ -63,7 +73,10 @@ def _average(f, theta, stage_ranges, cfg: OracleConfig | None):
         weights = np.convolve(weights, stage)
     offsets = np.linspace(-sum(stages), sum(stages), weights.size)
     scale = math.prod(2.0 * eps for eps in stages)
-    th = np.asarray(theta, dtype=float)
+    try:
+        th = np.asarray(theta, dtype=float)
+    except OverflowError:  # an integer past the float range
+        raise ValueError("theta must be finite") from None
     if not np.isfinite(th).all():
         raise ValueError("theta must be finite")
     flat, out = th.reshape(-1), np.empty(th.size)
@@ -78,27 +91,14 @@ def oracle_moving_average(f, theta, eps: float, cfg: OracleConfig | None = None)
 
     f must accept numpy arrays; theta may be a scalar or an array.
     """
-    return _average(f, theta, [eps], cfg)
-
-
-def oracle_iterated_filter(f, theta, stage_ranges, cfg: OracleConfig | None = None):
-    """Nested moving averages, innermost stage last, as one composite rule.
-
-    Stage s's Simpson step 2*eps_s/n must be an integer multiple m_s <= 64
-    of the finest step h (equal and dyadic stages are), else ValueError.
-    The stage weights, zero-stuffed to step m_s*h, are convolved into one
-    rule on the lattice of step h over [-sum eps_s, sum eps_s]: f runs once
-    per node, so its evaluations grow as n*sum(m_s), not n^depth.  Depth is
-    capped at 6.
-    """
-    return _average(f, theta, stage_ranges, cfg)
+    return oracle_iterated_filter(f, theta, [eps], cfg)
 
 
 def oracle_series_value(parity: str, coeffs, theta: float, k_cap: int | None = None) -> float:
     """Plain partial sum with math.fsum; no numpy, no shared evaluation code."""
     if parity not in ("cosine", "sine"):
         raise ValueError("parity must be 'cosine' or 'sine'")
-    if not math.isfinite(theta):
+    if not abs(theta) <= sys.float_info.max:  # NaN, +-inf or an integer past the float range
         raise ValueError("theta must be finite")
     trig = math.cos if parity == "cosine" else math.sin
     n = len(coeffs) if k_cap is None else min(len(coeffs), _integer("k_cap", k_cap, 0))

@@ -63,6 +63,22 @@ def _resolution(resolution, least: int = 1, name: str = "resolution") -> int:
     return m
 
 
+def _finite(values, message: str, dtype=float):
+    """values as a float if a Python int or float (no numpy), else as an array of dtype: the one
+    finite-number check of the inputs.  ValueError(message) unless every value is finite."""
+    try:
+        if isinstance(values, (int, float)):
+            if math.isfinite(values):
+                return float(values)
+        else:
+            values = np.asarray(values, dtype)
+            if np.isfinite(values).all():
+                return values
+    except OverflowError:  # an integer past the float range
+        pass
+    raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class EvalOptions:
     """Truncation and quadrature controls shared by the evaluation routines.
@@ -78,8 +94,9 @@ class EvalOptions:
 
     def __post_init__(self) -> None:
         _resolution(self.k_max, 1, "k_max")
-        if not (self.tail_tol > 0.0 and np.isfinite(self.tail_tol)):
-            raise ValueError("tail_tol must be a positive finite real")
+        message = "tail_tol must be a positive finite real"
+        if not (self.tail_tol > 0.0 and _finite(self.tail_tol, message)):
+            raise ValueError(message)
         _resolution(self.quad_resolution, 2, "quad_resolution")
 
 
@@ -89,15 +106,10 @@ DEFAULT_OPTIONS = EvalOptions()
 def _finite_vector(values, least: int = 0, shape: str = "coeffs must be a one-dimensional sequence",
                    finite: str = "coefficients must all be finite") -> np.ndarray:
     """values as a 1-D float array, by default a_1..a_K of either side of the pair.
-    ValueError(shape) unless 1-D with >= least elements, ValueError(finite) unless all finite."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except OverflowError:  # an integer past the float range
-        raise ValueError(finite) from None
-    if arr.ndim != 1 or arr.size < least:
+    ValueError(finite) unless all finite, else ValueError(shape) unless 1-D, >= least long."""
+    arr = _finite(values, finite)
+    if np.ndim(arr) != 1 or arr.size < least:
         raise ValueError(shape)
-    if not np.isfinite(arr).all():
-        raise ValueError(finite)
     return arr
 
 
@@ -226,11 +238,9 @@ def _grid_values(weights: np.ndarray, resolution: int, parity: str) -> np.ndarra
 def _pointwise(theta, evaluate):
     """evaluate on theta as a float array of >= 1 dimension: a float for a scalar theta, else
     theta's shape.  The one angle check off the grid: ValueError unless every angle is finite."""
-    th = np.asarray(theta, dtype=float)
-    if not np.isfinite(th).all():
-        raise ValueError("theta must be finite")
+    th = _finite(theta, "theta must be finite")
     vals = evaluate(np.atleast_1d(th))
-    return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
+    return float(vals[0]) if np.ndim(th) == 0 else vals.reshape(th.shape)
 
 
 def eval_series(coeffs: HarmonicCoefficients, theta: float, opts: EvalOptions | None = None):

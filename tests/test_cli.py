@@ -1,6 +1,8 @@
 import csv
 import json
+import runpy
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +92,17 @@ def test_filter_malformed_coefficient_file(content, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_module_entry_point(tmp_path, monkeypatch):
+    # python -m sincfilters.cli, in process: the __main__ guard exits with main's code
+    monkeypatch.delitem(sys.modules, "sincfilters.cli", raising=False)  # else runpy warns
+    out = tmp_path / "pts.csv"
+    monkeypatch.setattr("sys.argv", ["sincfilters", "invariants", "--out", str(out)])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("sincfilters.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert out.is_file()
 
 
 def test_invariants_command(tmp_path):

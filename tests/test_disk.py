@@ -275,13 +275,20 @@ def test_complex_kernel_order_zero_is_the_geometric_sum(variant):
 def test_complex_kernel_radius_ordering():
     with pytest.raises(ValueError, match="radius ordering violated"):
         complex_kernel_eval(KernelSpec(2, 0.5), DiskPoint(0.9, 0.0), 0.8, 0.0)
-    for rho1 in (0.0, -0.5, 1.5, np.nan):
+    for rho1 in (0.0, -0.5, 1.5, np.nan, 10**400):
         with pytest.raises(ValueError, match=r"rho1 must lie in \(0, 1\]"):
             complex_kernel_eval(KernelSpec(2, 0.5), DiskPoint(0.0, 0.0), rho1, 0.0)
+    for theta1 in (np.nan, np.inf, 10**400):
+        for rho in (0.0, 0.5):  # at z = 0 too, where the value does not depend on theta1
+            with pytest.raises(ValueError, match="rho and theta must be finite"):
+                complex_kernel_eval(KernelSpec(2, 0.5), DiskPoint(rho, 0.0), 0.9, theta1)
+    with pytest.raises(ValueError, match="rho and theta must be finite"):  # theta - theta1 = inf
+        complex_kernel_eval(KernelSpec(2, 0.5), DiskPoint(0.5, 1.7e308), 0.9, -1.7e308)
 
 
 def test_disk_point_rejects_a_non_finite_coordinate_or_a_negative_rho():
-    for rho, theta in ((np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, -np.inf)):
+    for rho, theta in ((np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, -np.inf),
+                       (10**400, 0.0), (0.5, -10**400)):
         with pytest.raises(ValueError, match="rho and theta must be finite"):
             DiskPoint(rho, theta)
     with pytest.raises(ValueError, match="rho must be non-negative"):
@@ -353,8 +360,9 @@ def test_segment_filter_disk_guard():
         segment_filter(w, 0.8 + 0j, 0.3, 0.0)
     nan, inf = np.nan, np.inf
     for centre, half, alpha in ((complex(nan, 0), 0.1, 0.0), (complex(0, inf), 0.1, 0.0),
-                                (0j, nan, 0.0), (0j, inf, 0.0), (0j, 0.1, nan), (0j, 0.1, inf)):
-        with pytest.raises(ValueError, match="finite"):
+                                (0j, nan, 0.0), (0j, inf, 0.0), (0j, 0.1, nan), (0j, 0.1, inf),
+                                (10**400, 0.1, 0.0), (0j, 10**400, 0.0), (0j, 0.1, 10**400)):
+        with pytest.raises(ValueError, match="z_center, half_length and alpha must be finite"):
             segment_filter(w, centre, half, alpha)
     for half in (0.0, -0.1):
         with pytest.raises(ValueError, match="half_length must be positive"):

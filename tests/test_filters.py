@@ -57,8 +57,9 @@ def test_sinc_taylor_branch_matches_mpmath():
 
 
 def test_sinc_rejects_non_finite():
-    with pytest.raises(ValueError):
-        sinc(np.inf)
+    for bad in (np.inf, 10**400, [0.5, 10**400]):  # the last two are past the float range
+        with pytest.raises(ValueError, match="sinc argument must be finite"):
+            sinc(bad)
 
 
 def test_multiplier_identity_at_order_zero():
@@ -220,8 +221,8 @@ def test_geometric_rule_beyond_the_float_range():
 @pytest.mark.parametrize("variant", ["naive", "fixed", "gaussian", "scaled"])
 def test_multiplier_rejects_non_finite_harmonics(variant):
     spec = KernelSpec(3, 0.5, variant)
-    for bad in (np.inf, np.nan, [1.0, np.inf], [np.nan, 2.0]):
-        with pytest.raises(ValueError):
+    for bad in (np.inf, np.nan, [1.0, np.inf], [np.nan, 2.0], 10**400, [1.0, 10**400]):
+        with pytest.raises(ValueError, match="harmonic index k must be finite"):
             filter_multiplier(bad, spec)
     for bad in (0.0, 0.5, -3.0, [1.0, 0.0]):
         with pytest.raises(ValueError, match="harmonic index k must be >= 1"):
@@ -340,6 +341,8 @@ def test_kernel_spec_validation():
     for variant in ("naive", "fixed", "gaussian", "scaled"):  # past the float range
         with pytest.raises(ValueError, match="order must be a non-negative integer"):
             KernelSpec(10**400, 0.5, variant)
+        with pytest.raises(ValueError, match=r"range_param must lie in \(0, pi\]"):
+            KernelSpec(1, 10**400, variant)
 
 
 def test_apply_filter_identity_and_zero():
@@ -467,7 +470,7 @@ def test_kernel_requires_positive_order():
 def test_kernel_eval_angles(spec):
     # closed forms (N = 1, 2) and the series alike: finite angles only, scalar in, float out
     opts = EvalOptions(tail_tol=1e-9)
-    for bad in (np.nan, np.inf, -np.inf, [0.1, np.nan]):
+    for bad in (np.nan, np.inf, -np.inf, [0.1, np.nan], 10**400, [0.1, -10**400]):
         with pytest.raises(ValueError, match="theta must be finite"):
             kernel_eval(spec, bad, opts)
     assert type(kernel_eval(spec, 0.1, opts)) is float
@@ -915,11 +918,11 @@ def _envelope_tail(spec, deriv, x):
 )
 def test_envelope_rule_is_the_smallest_k(variant, order, eps, deriv, tol):
     # K reaches tol and K - 1 does not, unless K is the (deriv+2)-th breakpoint (the last two cases)
-    from sincfilters.filters import _envelope_cutoff, _stages
+    from sincfilters.filters import _envelope_cutoff, _stage_groups
 
     spec = KernelSpec(order, eps, variant)
     k = _envelope_cutoff(spec, deriv, tol)
-    floor = sorted(1.0 / a for a in _stages(spec))[deriv + 1]
+    floor = sorted(1.0 / a for a, mult in _stage_groups(spec) for _ in range(mult))[deriv + 1]
     assert k >= floor and _envelope_tail(spec, deriv, k) <= tol
     assert k - 1 < floor or _envelope_tail(spec, deriv, k - 1) > tol
     assert (k == math.ceil(floor)) == (tol > 1.0)

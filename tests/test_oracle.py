@@ -98,7 +98,8 @@ def test_series_value_plain_sum():
     assert oracle_series_value("sine", coeffs, theta, k_cap=np.int64(2)) == first_two
 
 
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, [0.1, math.nan],
+                                   pytest.param(10**400, id="past-the-float-range")])
 def test_non_finite_angles_raise(theta):
     with pytest.raises(ValueError):
         oracle_moving_average(np.cos, theta, 0.3)

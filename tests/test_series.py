@@ -167,7 +167,7 @@ def test_invalid_inputs_rejected(tmp_path):
         HarmonicCoefficients("cos", [1.0])
     with pytest.raises(ValueError):
         HarmonicCoefficients("cosine", [np.nan])
-    for bad in (np.inf, np.nan, [0.1, np.nan]):
+    for bad in (np.inf, np.nan, [0.1, np.nan], 10**400, [0.1, 10**400]):
         with pytest.raises(ValueError, match="theta must be finite"):
             eval_series(HarmonicCoefficients("cosine", [1.0]), bad)
     with pytest.raises(ValueError):
@@ -194,7 +194,7 @@ def test_invalid_inputs_rejected(tmp_path):
         path.write_text("theta,value\n" + rows)
         with pytest.raises(ValueError, match="expected theta,value rows of exactly two cells"):
             load_signal(path)
-    for tol in (0.0, -1e-12, np.inf, np.nan):
+    for tol in (0.0, -1e-12, np.inf, np.nan, 10**400):
         with pytest.raises(ValueError, match="tail_tol must be a positive finite real"):
             EvalOptions(tail_tol=tol)
     with pytest.raises(ValueError, match="coeffs must be a one-dimensional sequence"):

@@ -33,7 +33,7 @@ from .scaled import invariant_points
 from .series import (
     WAVEFORMS,
     EvalOptions,
-    _resolution,
+    SampledSignal,
     _write_rows,
     load_coefficients,
     make_waveform,
@@ -72,7 +72,7 @@ def _cmd_kernel(ns: argparse.Namespace) -> int:
         raise ValueError("derivative order must be >= 1")
     spec = KernelSpec(ns.order, ns.eps, ns.variant)
     values = kernel_grid(spec, ns.points, _options(ns), ns.deriv_order or 0)
-    _write_rows(ns.out, ("theta", "value"), ns.points, values)
+    save_signal(SampledSignal(values), ns.out)
     return 0
 
 
@@ -103,11 +103,10 @@ def _cmd_invariants(ns: argparse.Namespace) -> int:
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    points = _resolution(ns.points)  # before any spec is checked
     opts = _options(ns)
     for n in SWEEP_LISTS[ns.variant]:
-        values = kernel_grid(_Periodised(n, ns.eps, ns.variant), points, opts)
-        _write_rows(out_dir / f"kernel_{ns.variant}_N{n}.csv", ("theta", "value"), points, values)
+        values = kernel_grid(_Periodised(n, ns.eps, ns.variant), ns.points, opts)
+        save_signal(SampledSignal(values), out_dir / f"kernel_{ns.variant}_N{n}.csv")
     return 0
 
 

@@ -64,14 +64,16 @@ class InnerAnalytic:
 
 @dataclass(frozen=True)
 class DiskPoint:
-    """Polar point rho * exp(i theta); rho < 1 strictly for interior evaluation."""
+    """Polar point rho * exp(i theta) as two floats; rho < 1 strictly for interior evaluation."""
 
     rho: float
     theta: float
 
     def __post_init__(self) -> None:
-        _finite(self.theta, "rho and theta must be finite")
-        if _finite(self.rho, "rho and theta must be finite") < 0.0:
+        message = "rho and theta must be finite"
+        object.__setattr__(self, "theta", float(_finite(self.theta, message)))
+        object.__setattr__(self, "rho", float(_finite(self.rho, message)))
+        if self.rho < 0.0:
             raise ValueError("rho must be non-negative")
 
 
@@ -178,7 +180,7 @@ def complex_kernel_eval(
     if not (0.0 < rho1 <= 1.0):
         raise ValueError("rho1 must lie in (0, 1]")
     message = "rho and theta must be finite"
-    _finite(theta1, message)
+    theta1 = float(_finite(theta1, message))
     if p.rho >= rho1:
         raise ValueError(f"radius ordering violated: need rho < rho1, got {p.rho} >= {rho1}")
     r = p.rho / rho1

@@ -63,7 +63,7 @@ from .series import (
     _point_values,
     _pointwise,
     _resolution,
-    theta_grid,
+    _thetas,
 )
 
 __all__ = [
@@ -476,7 +476,7 @@ class _Plan(NamedTuple):
     def grid(self, m: int) -> np.ndarray:
         """The values on theta_j = -pi + 2*pi*j/M: a closed form on j <= M/2, mirrored."""
         if self.closed is not None:
-            return _mirror(self.closed(_fold(theta_grid(m)[: m // 2 + 1])), m)
+            return _mirror(self.closed(_fold(_thetas(np.arange(m // 2 + 1), m))), m)
         return self.const + _grid_values(self.weights, m, self.parity) / np.pi
 
 

@@ -204,6 +204,18 @@ def test_grid_path_exit_codes(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_sweep_checks_its_resolution_once_and_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--variant", "scaled", "--points", "0", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: resolution must be >= 1\n"
+    assert list(out_dir.iterdir()) == []
+    # as for kernel, a bad range is reported before a bad resolution
+    for command in ("kernel", "sweep"):
+        argv = [command, "--eps", "4", "--points", "0", "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: range_param must lie in (0, pi]")
+
+
 GRID_COMMANDS = [
     "kernel --N 1 --variant naive",  # the box
     "kernel --N 2 --eps 0.3",  # two boxes convolved

@@ -295,6 +295,22 @@ def test_disk_point_rejects_a_non_finite_coordinate_or_a_negative_rho():
         DiskPoint(-0.5, 0.0)
 
 
+def test_disk_point_keeps_floats_and_theta1_is_taken_as_a_float():
+    for rho, theta in (("0.5", "0.1"), (1, 0), (np.float32(0.5), np.float32(0.1))):
+        p = DiskPoint(rho, theta)
+        assert (type(p.rho), type(p.theta)) == (float, float)
+        assert p == DiskPoint(float(rho), float(theta))
+    w = InnerAnalytic([1.0, -0.5])
+    assert eval_inner(w, DiskPoint("0.5", "0.1")) == eval_inner(w, DiskPoint(0.5, 0.1))
+    # float32 inputs compute in float64: the bits of their float64 twins
+    spec = KernelSpec(4, 0.5)
+    rho32, theta32 = np.float32(0.5), np.float32(0.2)
+    assert (complex_kernel_eval(spec, DiskPoint(rho32, 0.1), 0.95, 0.2)
+            == complex_kernel_eval(spec, DiskPoint(float(rho32), 0.1), 0.95, 0.2))
+    assert (complex_kernel_eval(spec, DiskPoint(0.5, 0.1), 0.95, theta32)
+            == complex_kernel_eval(spec, DiskPoint(0.5, 0.1), 0.95, float(theta32)))
+
+
 def test_complex_kernel_quadratures():
     # real part integrates to 1 and imaginary part to 0 over theta
     spec = KernelSpec(2, 0.5, "fixed")

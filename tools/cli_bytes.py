@@ -89,6 +89,7 @@ INVOCATIONS = [
     "kernel --N 0 --points 64 --out x.csv",
     "kernel --N 8 --eps 1.0 --variant naive --points 64 --out x.csv",
     "kernel --N 5 --tol 1e-9 --points 0 --out x.csv",
+    "sweep --variant scaled --points 0 --out sweep/",
     "derivative --order 0 --points 64 --out x.csv",
     "derivative --N 2 --order 1 --points 64 --out x.csv",
     "scaled-kernel --variant naive --out x.csv",

@@ -15,12 +15,13 @@ it is eval_series' cosine + i sine bit for bit, and at x = log z on a segment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import KernelSpec, _filtered, _plan
+from .filters import _CACHE_BYTES, KernelSpec, _filtered, _plan
 from .series import (
     DEFAULT_OPTIONS,
     EvalOptions,
@@ -85,12 +86,14 @@ def _taylor_sum(coeffs: np.ndarray, z: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def _on_circle(coeffs: np.ndarray, p: DiskPoint, angles, opts: EvalOptions | None) -> np.ndarray:
-    """sum_k a_k z^k at z = rho exp(i (theta + angle)) for each angle, rho <= 1, by x = log z."""
+    """sum_k a_k z^k at z = rho exp(i (theta + angle)) for each float angle, rho <= 1, by x = log z.
+    Its imaginary part (theta + 0.0) + angle is never -0.0."""
     if p.rho > 1.0:
         raise ValueError(f"radius out of range: rho = {p.rho} > 1")
     if p.rho == 0.0:  # w(0) = 0
-        return np.zeros(np.shape(angles), dtype=complex)
-    x = math.log(p.rho) + 1j * (p.theta + np.asarray(angles, dtype=float))
+        return np.zeros(len(angles), dtype=complex)
+    log_rho = math.log(p.rho)
+    x = np.array([complex(log_rho, p.theta + 0.0 + angle) for angle in angles])
     return _power_sum(coeffs[: (opts or DEFAULT_OPTIONS).k_max], x)
 
 
@@ -102,7 +105,7 @@ def eval_inner(w: InnerAnalytic, p: DiskPoint, opts: EvalOptions | None = None) 
     meaningful for a truncation of a non-absolutely-convergent series is the
     caller's concern.  rho > 1 is outside the function's domain.
     """
-    return complex(_on_circle(w.coeffs, p, [0.0], opts)[0])
+    return complex(_on_circle(w.coeffs, p, (0.0,), opts)[0])
 
 
 def log_derivative(w: InnerAnalytic) -> InnerAnalytic:
@@ -155,11 +158,22 @@ def complex_filter_order_n(
         )
     if order == 0:
         return eval_inner(w, p, opts)
-    k = np.arange(1, len(w) + 1, dtype=float)
-    n = np.arange(order + 1)
-    values = _on_circle(w.coeffs / k**order, p, (1.0 - 2.0 * n / order) * eps, opts)
-    binomials = np.array([(-1) ** j * math.comb(order, j) for j in n], dtype=float)
+    kept = 8 * len(w) <= _CACHE_BYTES // 4
+    binomials, powers = (_superposition if kept else _superposition.__wrapped__)(order, len(w))
+    angles = [(1.0 - 2.0 * j / order) * eps for j in range(order + 1)]
+    values = _on_circle(w.coeffs / powers, p, angles, opts)
     return (-1j * order / (2.0 * eps)) ** order * complex(binomials @ values)
+
+
+@functools.lru_cache(maxsize=8)
+def _superposition(order: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The signed binomials (-1)^j C(N, j), j = 0..N, and the powers k^N, k = 1..size, of the
+    order-N superposition, read-only.  complex_filter_order_n reads the memo only while k^N is
+    no larger than an array the multiplier table keeps (_multipliers: a quarter of _CACHE_BYTES)."""
+    binomials = np.array([(-1) ** j * math.comb(order, j) for j in range(order + 1)], dtype=float)
+    powers = np.arange(1, size + 1, dtype=float) ** order
+    binomials.flags.writeable = powers.flags.writeable = False
+    return binomials, powers
 
 
 def complex_kernel_eval(

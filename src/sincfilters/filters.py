@@ -315,11 +315,11 @@ def filter_direct(signal: SampledSignal, eps: float) -> SampledSignal:
     return SampledSignal(np.clip(out, v.min(), v.max()))
 
 
-def _fold(dtheta) -> np.ndarray:
-    """Reduce to [0, pi] using evenness first, so kernels are exactly even."""
-    d = np.abs(np.asarray(dtheta, dtype=float))
-    d = np.mod(d, 2.0 * np.pi)
-    return np.where(d > np.pi, 2.0 * np.pi - d, d)
+def _fold(d: np.ndarray) -> np.ndarray:
+    """Reduce angles to [0, pi] using evenness first, so kernels are exactly even: |d| mod 2*pi,
+    then its image 2*pi - |d| past pi (it rounds to at most pi there, and to at least |d| below)."""
+    d = np.mod(np.abs(d), 2.0 * np.pi)
+    return np.minimum(d, 2.0 * np.pi - d, out=d)
 
 
 @functools.lru_cache(maxsize=None)  # one table per width tuple _closed_form reads
@@ -361,9 +361,9 @@ def _box_spline(table: np.ndarray, h: float, image: bool, d: np.ndarray) -> np.n
     u = np.stack((d, 2.0 * np.pi - d)) / h if image else d / h
     cell = np.minimum(u, table.shape[1] - 1).astype(np.intp)  # floor(u) on the support
     t = u - cell
-    v = table[0, cell]
-    for row in table[1:]:
-        v = v * t + row[cell]
+    v, *rows = table.take(cell, axis=1)  # every row's coefficients at u, in one gather
+    for row in rows:
+        v = v * t + row
     if len(table) == 1:
         v = np.where(u == 1.0, 0.25, v)
     return (v[0] + v[1] if image else v) / h
@@ -421,13 +421,15 @@ def _envelope_cutoff(spec: KernelSpec, deriv: int, tol: float) -> float:
     return math.ceil(math.exp(log_x)) if log_x < 709.0 else math.inf
 
 
-def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float = 1.0) -> int:
+def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float = 1.0,
+            table: bool = False) -> int:
     """Smallest K with the rigorous tail bound (1/pi) sum_{k>K} |m_k| k^deriv r^k <= tol.
 
     The one rule is the envelope integral of _envelope_cutoff.  At a radius
     ratio r < 1 (deriv 0 only) |m_k| <= 1 also gives the geometric tail
     r^(K+1) / (pi (1 - r)), and the smaller K wins.
-    Raises NonConvergenceError when no rule reaches tol within k_max, and says why if none can.
+    Raises NonConvergenceError when no rule reaches tol within k_max, and says why if none can;
+    a kernel evaluation that would read _closed_form's table (table) also says why it cannot.
     """
     k_need = _envelope_cutoff(spec, deriv, tol)
     if radius < 1.0:
@@ -445,7 +447,7 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float 
             n = sum(mult for a, mult in itertools.islice(_stage_groups(spec), 60) if a > 0)
             why = (f"it has {n} stage(s) of nonzero width and its tail rule needs {deriv + 2}"
                    if n < deriv + 2 else "its stages are too narrow for a K in the float range")
-            if deriv == 0 and 1 <= spec.order <= (10 if spec.variant == "scaled" else 2):
+            if table and 1 <= spec.order <= (10 if spec.variant == "scaled" else 2):
                 h = min(a for a, _ in _stage_groups(spec))  # _closed_form's table needs a normal h
                 if h < sys.float_info.min:
                     why += f"; its narrowest stage, {h:.3g}, is below the normal floats: no table"
@@ -497,16 +499,18 @@ def _plan(spec: KernelSpec, deriv: int, opts: EvalOptions, caller: str, radius: 
         raise InsufficientOrderError(
             f"derivative of order {deriv} needs steps >= {deriv + 2}, got {spec.order}"
         )
-    plan = _closed_form(spec) if deriv == 0 and radius == 1.0 else None
+    table = deriv == 0 and radius == 1.0  # where a closed form can be read
+    plan = _closed_form(spec) if table else None
     if plan is not None:
         return plan
     const = 1.0 / (2.0 * np.pi) if deriv == 0 else 0.0
-    K = _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius)
+    K = _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius, table)
     weights = _multipliers(spec, K)
     if deriv:
         k = np.arange(1, K + 1, dtype=float)
         weights = (1.0, -1.0, -1.0, 1.0)[deriv % 4] * k**deriv * weights
-    return _Plan(const, PARITIES[deriv % 2], weights)
+    # _Plan(...) without the NamedTuple's generated __new__, which a scalar call would pay for
+    return tuple.__new__(_Plan, (const, PARITIES[deriv % 2], weights, None))
 
 
 def kernel_eval(spec: KernelSpec, dtheta, opts: EvalOptions | None = None, deriv: int = 0):

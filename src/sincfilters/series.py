@@ -166,6 +166,18 @@ def _thetas(j: np.ndarray, resolution: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * j / resolution
 
 
+@functools.lru_cache(maxsize=64)
+def _steps(b: int) -> np.ndarray:
+    """The power sum's steps for b baby steps as one read-only column: the baby steps 0..b-1,
+    then the giant steps 0, b, ..., (b+1) b, of which a sum of K terms reads the first
+    rows <= b + 2.  They are complex, as numpy casts a float step to multiply a complex x,
+    so each product keeps its bits."""
+    steps = np.concatenate([np.arange(b, dtype=float), np.arange(0, (b + 2) * b, b, dtype=float)])
+    steps = steps.astype(complex).reshape(-1, 1)
+    steps.flags.writeable = False
+    return steps
+
+
 def _power_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k weights[k-1] * exp(k x), k = 1..K, at every complex point x, by baby and giant steps.
 
@@ -174,7 +186,8 @@ def _power_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     SIAM J. Comput. 2, 1973): about 2 sqrt(K) exponentials per point and one
     real matrix product of the zero-padded weights, as rows x B, with the
     baby powers viewed as real and imaginary columns.  Each power is one
-    exp of one rounded product, as in exp(k x).  Blocks of points keep the
+    exp of one rounded product of a memoised step (_steps) and x, as in
+    exp(k x), and one exp call makes both tables.  Blocks of points keep the
     power tables of the baby and giant steps below _CHUNK_BYTES.
     """
     flat = x.ravel()
@@ -182,16 +195,19 @@ def _power_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     rows = -(-(weights.size + 1) // b)
     padded = np.zeros((rows, b))
     padded.ravel()[1 : weights.size + 1] = weights
+    steps = _steps(b)[: b + rows]
 
     def block_sum(block):  # its tables are freed before the next block's are made
-        baby = np.multiply.outer(np.arange(b, dtype=float), block)
-        giant = np.multiply.outer(np.arange(0, rows * b, b, dtype=float), block)
-        inner = (padded @ np.exp(baby, out=baby).view(float)).view(complex)
-        inner *= np.exp(giant, out=giant)
-        return inner.sum(axis=0)
+        powers = steps * block
+        np.exp(powers, out=powers)
+        inner = (padded @ powers[:b].view(float)).view(complex)
+        inner *= powers[b:]
+        return np.add.reduce(inner, axis=0)
 
+    step = max(1, _CHUNK_BYTES // (16 * (b + rows)))  # points per block, 16 bytes per power
+    if flat.size <= step:
+        return block_sum(flat).reshape(x.shape)
     total = np.empty(flat.shape, dtype=complex)
-    step = max(1, _CHUNK_BYTES // (total.itemsize * (b + rows)))
     for lo in range(0, flat.size, step):
         total[lo : lo + step] = block_sum(flat[lo : lo + step])
     return total.reshape(x.shape)
@@ -239,8 +255,10 @@ def _pointwise(theta, evaluate):
     """evaluate on theta as a float array of >= 1 dimension: a float for a scalar theta, else
     theta's shape.  The one angle check off the grid: ValueError unless every angle is finite."""
     th = _finite(theta, "theta must be finite")
+    if isinstance(th, float):  # a Python or numpy float: one point
+        return float(evaluate(np.array([th]))[0])
     vals = evaluate(np.atleast_1d(th))
-    return float(vals[0]) if np.ndim(th) == 0 else vals.reshape(th.shape)
+    return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
 
 
 def eval_series(coeffs: HarmonicCoefficients, theta: float, opts: EvalOptions | None = None):

@@ -273,6 +273,12 @@ def test_exit_codes_at_extreme_stage_widths(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("non-convergence: ") and "no finite cutoff" in err
     assert "widen eps or change N" in err and "Loosen tail_tol" not in err
+    # a waveform reads no table, so only a kernel's error says that its stage is too narrow for one
+    assert main(["waveform", "--N", "3", "--eps", "5e-324", "--points", "64", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "no finite cutoff" in err and "no table" not in err
+    assert main(["kernel", "--N", "1", "--eps", "1e-310", "--points", "8", "--out", out]) == 2
+    assert "1e-310, is below the normal floats: no table. " in capsys.readouterr().err
     # scaled widths eps/2^n once overflowed at n = 1024; past the 60th stage no byte changes
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["scaled-kernel", "--N", "1100", "--points", "128", "--out", str(a)]) == 0

@@ -434,3 +434,49 @@ def test_save_inner_matches_json_dump(tmp_path):
         json.dump({"coeffs": values.tolist()}, fh)
         fh.write("\n")
     assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_disk_scalars_are_python_complex_whatever_their_type():
+    w = InnerAnalytic(np.random.default_rng(30).standard_normal(300) / np.arange(1, 301) ** 1.5)
+    spec = KernelSpec(4, 0.5)
+    calls = {
+        "eval_inner": lambda t: eval_inner(w, DiskPoint(0.9, t)),
+        "complex_kernel_eval": lambda t: complex_kernel_eval(spec, DiskPoint(0.9, t), 1.0, 0.3),
+        "complex_kernel_eval theta1": lambda t: complex_kernel_eval(
+            spec, DiskPoint(0.5, 0.3), 0.95, t),
+        "complex_filter_eval": lambda t: complex_filter_eval(w, 0.4, DiskPoint(0.99, t)),
+        "complex_filter_order_n": lambda t: complex_filter_order_n(w, 0.4, 3, DiskPoint(1.0, t)),
+        "complex_filter_order_n eps": lambda t: complex_filter_order_n(
+            w, abs(t) + 0.1, 2, DiskPoint(0.7, 1.0)),
+    }
+    for name, evaluate in calls.items():
+        for theta in (-2.5, -0.0, 0.0, 0.7):
+            want = evaluate(theta)
+            assert type(want) is complex, name
+            for scalar in (np.float64(theta), np.array(theta)):
+                got = evaluate(scalar)
+                assert type(got) is complex, name
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), name
+    for bad in (np.nan, np.inf, np.float64(-np.inf), np.array(np.nan)):
+        with pytest.raises(ValueError, match="rho and theta must be finite"):
+            calls["eval_inner"](bad)
+        with pytest.raises(ValueError, match="rho and theta must be finite"):
+            calls["complex_kernel_eval theta1"](bad)
+
+
+def test_memoised_arrays_are_read_only_and_kept_under_the_multiplier_keep_rule():
+    from sincfilters.disk import _superposition
+    from sincfilters.filters import _CACHE_BYTES
+    from sincfilters.series import _steps
+
+    w = InnerAnalytic(1.0 / np.arange(1.0, 2049.0) ** 2)
+    complex_filter_order_n(w, 0.4, 3, DiskPoint(0.9, 0.2))
+    assert _superposition.cache_info().currsize == 1
+    for memo in (_steps(math.isqrt(2049)), *_superposition(3, 2048)):
+        assert not memo.flags.writeable
+        with pytest.raises(ValueError):
+            memo[0] = 1.0
+    # k^N past a quarter of the multiplier table is not kept, as _multipliers keeps no such m_k
+    size = _CACHE_BYTES // 4 // 8 + 1
+    complex_filter_order_n(InnerAnalytic(np.ones(size) / size), 0.4, 2, DiskPoint(0.5, 0.2))
+    assert _superposition.cache_info().currsize == 1

@@ -481,6 +481,35 @@ def test_kernel_eval_angles(spec):
     assert np.array_equal(values.ravel(), kernel_eval(spec, grid.ravel(), opts))
 
 
+_COSINE = HarmonicCoefficients("cosine", 1.0 / np.arange(1.0, 301.0) ** 2)
+SCALAR_PATHS = {  # every kernel path, and both parities of a series, at one angle
+    "box": lambda th: kernel_eval(KernelSpec(1, 0.5, "naive"), th),
+    "box of two stages": lambda th: kernel_eval(KernelSpec(2, 0.3), th),
+    "box and its image": lambda th: kernel_eval(KernelSpec(2, 2.0, "gaussian"), th),
+    "scaled table": lambda th: kernel_eval(KernelSpec(5, 0.5, "scaled"), th),
+    "series": lambda th: kernel_eval(KernelSpec(100, 0.5, "scaled"), th),
+    "derivative 1": lambda th: kernel_eval(KernelSpec(8, 0.5, "gaussian"), th, None, 1),
+    "derivative 2": lambda th: kernel_eval(KernelSpec(100, 0.5, "scaled"), th, None, 2),
+    "cosine series": lambda th: eval_series(_COSINE, th),
+    "sine series": lambda th: eval_series(make_waveform("square", 512), th),
+}
+
+
+@pytest.mark.parametrize("path", SCALAR_PATHS)
+def test_a_scalar_angle_is_the_one_element_array_bit_for_bit(path):
+    # a Python float, a numpy float and a 0-d array take one path; only a batch may round apart
+    evaluate = SCALAR_PATHS[path]
+    for theta in (-np.pi, -2.5, -0.0, 0.0, 0.1, 0.25, 0.5, 3.0, np.pi, 7.5):
+        want = float(evaluate(np.array([theta]))[0]).hex()
+        for scalar in (theta, np.float64(theta), np.array(theta)):
+            got = evaluate(scalar)
+            assert type(got) is float and got.hex() == want, (scalar, got)
+    for bad in (np.nan, np.inf, -np.inf):
+        for scalar in (bad, np.float64(bad), np.array(bad)):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                evaluate(scalar)
+
+
 def test_box_kernel_values():
     spec = KernelSpec(1, 0.5, "naive")
     assert kernel_eval(spec, 0.0) == 1.0

@@ -86,6 +86,8 @@ INVOCATIONS = [
     # tiny ranges: a normal narrowest stage reads its table, a subnormal one exits 2
     "kernel --N 2 --variant gaussian --eps 1e-300 --points 8 --out k.csv",
     "kernel --N 1 --eps 1e-310 --points 8 --out k.csv",
+    # a waveform reads no table: its error does not name one
+    "waveform --N 3 --eps 5e-324 --points 64 --out w.csv",
     "kernel --N 0 --points 64 --out x.csv",
     "kernel --N 8 --eps 1.0 --variant naive --points 64 --out x.csv",
     "kernel --N 5 --tol 1e-9 --points 0 --out x.csv",

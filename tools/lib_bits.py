@@ -8,8 +8,10 @@ script evaluates a fixed seeded sample of every numeric public entry point
 (`sample` below): the kernel on each of its paths (the closed forms of
 N <= 2, the scaled tables of N = 3..10, the series, derivatives 1 and 2,
 odd and even grids), the disk functions, the series and signal functions,
-the multipliers, the quadratures, the oracles and the scaled names.  A call
-that raises gives its exception's type and message in place of values.
+the multipliers, the quadratures, the oracles and the scaled names.  Every
+off-grid entry point is also called at one angle given as a Python float, a
+numpy float and a 0-d array.  A call that raises gives its exception's type
+and message in place of values.
 It prints one line per entry point, `same` or `differs`, with the number of
 values compared, and for `differs` the number that differ bit for bit and
 the largest |difference| between two finite values.  Exits 1 if any entry
@@ -56,10 +58,16 @@ def sample() -> dict[str, list[str]]:
     cosine = sf.HarmonicCoefficients("cosine", rng.standard_normal(300) / np.arange(1, 301))
     sine = sf.make_waveform("square", 4096)
     harmonics = np.concatenate([np.arange(1.0, 64.0), rng.uniform(1.0, 1e6, 16)])
+    # one angle as a Python float, a numpy float and a 0-d array: the scalar path, compared
+    # across trees only, as a batch of angles may round apart from it
+    scalars = [kind(a) for a in (-2.5, -0.0, 0.1, 3.0) for kind in (float, np.float64, np.array)]
     calls = {
         "kernel_eval": [lambda s=s: sf.kernel_eval(s, angles, opts) for s in kernels]
         + [lambda s=s: sf.kernel_eval(s, 0.1) for s in kernels[:7]]
-        + [lambda s=s, d=d: sf.kernel_eval(s, angles, opts, d) for s, d in derivatives],
+        + [lambda s=s, d=d: sf.kernel_eval(s, angles, opts, d) for s, d in derivatives]
+        + [lambda s=s, a=a: sf.kernel_eval(s, a, opts) for s in kernels for a in scalars]
+        + [lambda s=s, d=d, a=a: sf.kernel_eval(s, a, opts, d) for s, d in derivatives
+           for a in scalars],
         "kernel_grid": [lambda s=s, m=m: sf.kernel_grid(s, m, opts)
                         for s in kernels for m in (255, 256)]
         + [lambda s=s, d=d, m=m: sf.kernel_grid(s, m, opts, d)
@@ -68,18 +76,28 @@ def sample() -> dict[str, list[str]]:
         "complex_kernel_eval": [
             lambda s=s, p=p: sf.complex_kernel_eval(s, p, 1.0, 0.3, opts)
             for s in kernels[::3] + [sf.KernelSpec(0, 0.5)] for p in points[:4]]
-        + [lambda: sf.complex_kernel_eval(kernels[7], points[2], 0.95, -2.0)],
-        "eval_inner": [lambda p=p: sf.eval_inner(w, p) for p in points],
-        "complex_filter_eval": [lambda p=p: sf.complex_filter_eval(w, 0.4, p) for p in points],
+        + [lambda: sf.complex_kernel_eval(kernels[7], points[2], 0.95, -2.0)]
+        + [lambda s=s, a=a, b=b: sf.complex_kernel_eval(s, sf.DiskPoint(0.9, a), 1.0, b)
+           for s in kernels[::3] for a, b in zip(scalars, reversed(scalars))],
+        "eval_inner": [lambda p=p: sf.eval_inner(w, p) for p in points]
+        + [lambda r=r, a=a: sf.eval_inner(w, sf.DiskPoint(r, a)) for r in (0.9, 1.0)
+           for a in scalars],
+        "complex_filter_eval": [lambda p=p: sf.complex_filter_eval(w, 0.4, p) for p in points]
+        + [lambda a=a: sf.complex_filter_eval(w, abs(a) / 4 + 0.1, sf.DiskPoint(0.99, a))
+           for a in scalars],
         "complex_filter_order_n": [lambda p=p, n=n: sf.complex_filter_order_n(w, 0.4, n, p)
-                                   for p in points for n in (0, 2, 5)],
+                                   for p in points for n in (0, 2, 5)]
+        + [lambda a=a, n=n: sf.complex_filter_order_n(w, abs(a) / 4 + 0.1, n,
+                                                      sf.DiskPoint(0.99, a))
+           for a in scalars for n in (1, 4)],
         "complex_filter_coeffs": [lambda: sf.complex_filter_coeffs(w, 0.4).coeffs],
         "log_derivative": [lambda: sf.log_derivative(w).coeffs],
         "log_primitive": [lambda: sf.log_primitive(w).coeffs],
         "segment_filter": [lambda z=z, a=a: sf.segment_filter(w, z, 0.05, a)
                            for z in (0.0, 0.3 + 0.2j, -0.6j) for a in (0.0, 1.1)],
         "eval_series": [lambda c=c: sf.eval_series(c, angles, opts) for c in (cosine, sine)]
-        + [lambda: sf.eval_series(cosine, 0.7)],
+        + [lambda: sf.eval_series(cosine, 0.7)]
+        + [lambda c=c, a=a: sf.eval_series(c, a) for c in (cosine, sine) for a in scalars],
         "render_signal": [lambda c=c, m=m: sf.render_signal(c, m).values
                           for c in (cosine, sine) for m in (255, 256)],
         "theta_grid": [lambda m=m: sf.theta_grid(m) for m in (1, 255, 256)],

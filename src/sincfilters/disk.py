@@ -4,9 +4,12 @@ An inner analytic function is determined by real Taylor coefficients a_k,
 k >= 1 (no constant term, w(0) = 0): w(z) = sum a_k z^k.  On a circle of
 radius rho its real and imaginary parts are the cosine and sine series with
 amplitudes a_k rho^k, so the first-order filter acts here as the average of
-w over the arc of angular half-length eps at constant rho, realized through
-the logarithmic primitive (coefficients a_k / k) evaluated at the rotated
-points z*exp(+i eps) and z*exp(-i eps).
+w over the arc of angular half-length eps at constant rho: a_k -> sinc(k eps) a_k.
+Every order is that map in coefficient space, with the multipliers m_k of the
+filters' table, so the disk filter is the Taylor sum of a_k m_k.  The paper's
+realization through logarithmic primitives at rotated points is the same
+function, but its sum cancels at small eps or high order, and only the tests
+compute it.
 
 Every value is one Taylor sum sum_k a_k exp(k x) by the power sum that also sums
 both real sides off the grid: at x = log rho + i theta on a circle, so at rho = 1
@@ -15,13 +18,12 @@ it is eval_series' cosine + i sine bit for bit, and at x = log z on a segment.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import _CACHE_BYTES, KernelSpec, _filtered, _plan
+from .filters import KernelSpec, _filtered, _plan
 from .series import (
     DEFAULT_OPTIONS,
     EvalOptions,
@@ -46,8 +48,6 @@ __all__ = [
     "save_inner",
     "load_inner",
 ]
-
-_MAX_EXACT_BINOMIAL_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -85,16 +85,15 @@ def _taylor_sum(coeffs: np.ndarray, z: np.ndarray, k_max: int) -> np.ndarray:
     return np.where(zero, 0.0, _power_sum(coeffs[:k_max], log_z))
 
 
-def _on_circle(coeffs: np.ndarray, p: DiskPoint, angles, opts: EvalOptions | None) -> np.ndarray:
-    """sum_k a_k z^k at z = rho exp(i (theta + angle)) for each float angle, rho <= 1, by x = log z.
-    Its imaginary part (theta + 0.0) + angle is never -0.0."""
+def _on_circle(coeffs: np.ndarray, p: DiskPoint, opts: EvalOptions | None) -> complex:
+    """sum_k a_k z^k at z = rho exp(i theta), rho <= 1, by x = log z, whose imaginary part
+    theta + 0.0 is never -0.0."""
     if p.rho > 1.0:
         raise ValueError(f"radius out of range: rho = {p.rho} > 1")
     if p.rho == 0.0:  # w(0) = 0
-        return np.zeros(len(angles), dtype=complex)
-    log_rho = math.log(p.rho)
-    x = np.array([complex(log_rho, p.theta + 0.0 + angle) for angle in angles])
-    return _power_sum(coeffs[: (opts or DEFAULT_OPTIONS).k_max], x)
+        return 0j
+    x = np.array([complex(math.log(p.rho), p.theta + 0.0)])
+    return complex(_power_sum(coeffs[: (opts or DEFAULT_OPTIONS).k_max], x)[0])
 
 
 def eval_inner(w: InnerAnalytic, p: DiskPoint, opts: EvalOptions | None = None) -> complex:
@@ -105,7 +104,7 @@ def eval_inner(w: InnerAnalytic, p: DiskPoint, opts: EvalOptions | None = None) 
     meaningful for a truncation of a non-absolutely-convergent series is the
     caller's concern.  rho > 1 is outside the function's domain.
     """
-    return complex(_on_circle(w.coeffs, p, (0.0,), opts)[0])
+    return _on_circle(w.coeffs, p, opts)
 
 
 def log_derivative(w: InnerAnalytic) -> InnerAnalytic:
@@ -129,51 +128,24 @@ def complex_filter_coeffs(w: InnerAnalytic, eps: float) -> InnerAnalytic:
 def complex_filter_eval(
     w: InnerAnalytic, eps: float, p: DiskPoint, opts: EvalOptions | None = None
 ) -> complex:
-    """First-order filter through the logarithmic primitive.
-
-    -(i/2eps) [W(z e^{i eps}) - W(z e^{-i eps})] with W the log primitive;
-    equals eval_inner(complex_filter_coeffs(w, eps), p).
-    """
-    return complex_filter_order_n(w, eps, 1, p, opts)
+    """First-order filter at p: the series of complex_filter_coeffs(w, eps) summed at p, so it
+    is eval_inner(complex_filter_coeffs(w, eps), p, opts) bit for bit.  The paper writes it
+    through the logarithmic primitive W as -(i/2eps) [W(z e^{i eps}) - W(z e^{-i eps})]."""
+    return _on_circle(_filtered(w.coeffs, KernelSpec(1, eps, "naive")), p, opts)
 
 
 def complex_filter_order_n(
     w: InnerAnalytic, eps: float, order: int, p: DiskPoint, opts: EvalOptions | None = None
 ) -> complex:
-    """Order-N filter with range eps as the binomial superposition of N-th
-    logarithmic primitives at the N+1 rotated points z e^{i(1-2n/N)eps}.
+    """Order-N filter with range eps at p: a_k sinc(k eps/N)^N, the multipliers of
+    KernelSpec(N, eps, "fixed") from the multiplier table, summed at p as eval_inner sums.
 
-    It is the disk realization of KernelSpec(N, eps, "fixed"), whose
-    multipliers sinc(k eps/N)^N it applies, and that spec checks (N, eps).
-    Exact integer binomials; refused beyond N = 20 where the (N/2eps)^N
-    prefactor makes the superposition numerically meaningless (the
-    coefficient-space path is authoritative there).
+    The spec checks (N, eps); N = 0 is eval_inner.  The paper writes the filter as the
+    binomial superposition of N-th logarithmic primitives at the N+1 rotated points
+    z e^{i(1-2n/N)eps}, scaled by (N/2eps)^N; that sum cancels as the prefactor grows, so
+    it is a test of this function, not its engine.
     """
-    spec = KernelSpec(order, eps, "fixed")
-    order, eps = spec.order, spec.range_param
-    if order > _MAX_EXACT_BINOMIAL_ORDER:
-        raise ValueError(
-            f"binomial superposition is ill-conditioned beyond N={_MAX_EXACT_BINOMIAL_ORDER}; "
-            f"use complex_filter_coeffs / filter_multiplier instead"
-        )
-    if order == 0:
-        return eval_inner(w, p, opts)
-    kept = 8 * len(w) <= _CACHE_BYTES // 4
-    binomials, powers = (_superposition if kept else _superposition.__wrapped__)(order, len(w))
-    angles = [(1.0 - 2.0 * j / order) * eps for j in range(order + 1)]
-    values = _on_circle(w.coeffs / powers, p, angles, opts)
-    return (-1j * order / (2.0 * eps)) ** order * complex(binomials @ values)
-
-
-@functools.lru_cache(maxsize=8)
-def _superposition(order: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The signed binomials (-1)^j C(N, j), j = 0..N, and the powers k^N, k = 1..size, of the
-    order-N superposition, read-only.  complex_filter_order_n reads the memo only while k^N is
-    no larger than an array the multiplier table keeps (_multipliers: a quarter of _CACHE_BYTES)."""
-    binomials = np.array([(-1) ** j * math.comb(order, j) for j in range(order + 1)], dtype=float)
-    powers = np.arange(1, size + 1, dtype=float) ** order
-    binomials.flags.writeable = powers.flags.writeable = False
-    return binomials, powers
+    return _on_circle(_filtered(w.coeffs, KernelSpec(order, eps, "fixed")), p, opts)
 
 
 def complex_kernel_eval(

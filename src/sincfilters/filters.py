@@ -35,7 +35,8 @@ table (_multipliers) of at most 2 MiB, a quarter of it per spec, least
 recently used spec out first, with the bits of a fresh filter_multiplier
 call; the tail rule is memoised too.  Filtering coefficients reads the same
 table on both sides of the conjugate pair (_filtered): apply_filter_coeffs,
-and so the CLI's filter and waveform, and disk.complex_filter_coeffs.
+and so the CLI's filter and waveform, and disk's complex_filter_coeffs,
+complex_filter_eval and complex_filter_order_n.
 """
 
 from __future__ import annotations

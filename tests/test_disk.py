@@ -33,6 +33,7 @@ from sincfilters import (
 
 SINC_HALF = 0.958851077208406
 Z2_FILTERED_AT_HALF = 0.21036774620197413  # sinc(1) * 0.25, mpmath
+U = 2.0**-53
 
 
 def test_eval_inner_basic_points():
@@ -186,12 +187,17 @@ def test_complex_filter_eval_closed_forms():
 
 
 def test_complex_filter_identity_limit():
+    # the gap 1 - sinc(k eps) <= (k eps)^2 / 6, u for the multiplier and its product with a_k,
+    # and the power sum's contract 2u (1 + k) on each side
     rng = np.random.default_rng(3)
     w = InnerAnalytic(rng.normal(size=24))
     p = DiskPoint(0.6, -1.1)
+    k = np.arange(1, 25)
     direct = eval_inner(w, p)
-    filtered = complex_filter_eval(w, 1e-6, p)
-    assert abs(filtered - direct) <= 1e-9
+    for eps in (1e-6, 1e-9, 1e-12):
+        gap = (k * eps) ** 2 / 6 + 2 * U + 4 * U * (1 + k)
+        bound = np.sum(np.abs(w.coeffs) * p.rho**k * gap)
+        assert abs(complex_filter_eval(w, eps, p) - direct) <= bound, eps
 
 
 def test_complex_filter_eval_matches_coefficient_path():
@@ -202,7 +208,7 @@ def test_complex_filter_eval_matches_coefficient_path():
         eps = rng.uniform(0.05, np.pi)
         via_eval = complex_filter_eval(w, eps, p)
         via_coeffs = eval_inner(complex_filter_coeffs(w, eps), p)
-        assert abs(via_eval - via_coeffs) <= 1e-12
+        assert via_eval == via_coeffs
 
 
 def test_inner_analyticity_preserved():
@@ -221,32 +227,82 @@ def test_softening_by_one_degree_decay():
     assert (np.abs(out.coeffs) * k**2).max() <= 4 / (np.pi * 0.5) + 1e-9
 
 
-def test_order_n_superposition_matches_multiplier_path():
+def _filtered_sum_contract(a, eps, order, rho):
+    """The package's rounding contract for sum_k a_k m_k z^k, m_k = sinc(k eps/N)^N, |z| = rho:
+    the power sum's 2u sum_k |a_k m_k| rho^k (1 + k), plus |a_k| rho^k e_k for the multipliers.
+    One factor sinc(x) is off by at most 16u: its argument k fl(eps/N) is off by 2u x, which
+    moves sinc by 4u as |x sinc'(x)| <= 2; sin adds up to 4 ulp (8u) and the division u.  Its
+    N-th power is then off by at most N (s_k + 16u)^(N-1) 16u, s_k = min(1, N/(k eps)) >= |sinc|,
+    and the power and the product with a_k add 2u."""
+    k = np.arange(1, a.size + 1, dtype=float)
+    m = filter_multiplier(k, KernelSpec(order, eps, "fixed"))
+    s = np.minimum(1.0, order / (k * eps))
+    e = 16 * U * order * (s + 16 * U) ** (order - 1) + 2 * U
+    return float(np.sum(np.abs(a) * rho**k * (2 * U * np.abs(m) * (1 + k) + e)))
+
+
+def _assert_within_contract(w, eps, order, p):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = [k * mp.mpf(eps) / order for k in range(1, len(w) + 1)]
+        c = [mp.mpf(float(ak)) * (mp.sin(xk) / xk) ** order for ak, xk in zip(w.coeffs, x)]
+        exact = mp.polyval(c[::-1] + [0], mp.mpf(p.rho) * mp.expj(p.theta))
+        error = abs(mp.mpc(complex_filter_order_n(w, eps, order, p)) - exact)
+    assert error <= _filtered_sum_contract(w.coeffs, eps, order, p.rho), (eps, order)
+
+
+def test_order_n_is_within_the_power_sum_contract_of_the_filtered_series():
     rng = np.random.default_rng(5)
-    w = InnerAnalytic(rng.uniform(-1, 1, size=24))
-    eps = 0.5
-    for order in (2, 3, 4):
-        spec = KernelSpec(order, eps, "fixed")
-        filtered = InnerAnalytic(w.coeffs * filter_multiplier(np.arange(1, 25), spec))
-        for _ in range(20):
-            p = DiskPoint(rng.uniform(0, 0.9), rng.uniform(-np.pi, np.pi))
-            a = complex_filter_order_n(w, eps, order, p)
-            b = eval_inner(filtered, p)
-            assert abs(a - b) <= 1e-9, order
+    w = InnerAnalytic(rng.standard_normal(256) / np.arange(1, 257) ** 1.5)
+    for eps in (0.1, 0.5):
+        for order in (1, 2, 4, 8, 12, 16, 20):
+            _assert_within_contract(
+                w, eps, order, DiskPoint(rng.uniform(0.5, 0.95), rng.uniform(-np.pi, np.pi)))
 
 
-def test_order_n_superposition_guard():
+def test_paper_binomial_sum_agrees_within_its_own_rounding_bound():
+    # the paper's order-N filter (-i N/(2 eps))^N sum_j (-1)^j C(N, j) W(z e^{i(1 - 2j/N) eps}),
+    # W the N-th logarithmic primitive (a_k / k^N), summed here in floats term by term
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal(256) / np.arange(1, 257) ** 1.5
+    k = np.arange(1, a.size + 1, dtype=float)
+    for eps in (0.1, 0.5):
+        for order in (1, 2, 4, 8, 12, 16, 20):
+            p = DiskPoint(rng.uniform(0.5, 0.95), rng.uniform(-np.pi, np.pi))
+            primitive = a / k**order
+            x = math.log(p.rho) + 1j * (p.theta + (1.0 - 2.0 * np.arange(order + 1) / order) * eps)
+            values = (primitive * np.exp(np.outer(x, k))).sum(axis=1)
+            signs = np.array([(-1) ** j * math.comb(order, j) for j in range(order + 1)], float)
+            paper = (-1j * order / (2.0 * eps)) ** order * complex(signs @ values)
+            # each W value: fl(k x) and the angles are off by 5u k X, X >= |x|, so the complex
+            # exp by 8u k X; exp itself, the primitive and the products add 9u and the pairwise
+            # sum of 256 terms 21u; the combination adds (N + 2) u of
+            # sum_j C(N, j) |W_j| <= 2^N max |W|; the prefactor's 2(N + 1) u is relative to
+            # the filtered value
+            big_x = abs(math.log(p.rho)) + abs(p.theta) + eps
+            scale = np.sum(np.abs(primitive) * p.rho**k * (32 + order + 8 * k * big_x))
+            bound = (order / (2.0 * eps)) ** order * 2.0**order * U * scale
+            bound += 2 * (order + 1) * U * np.sum(np.abs(a) * p.rho**k)
+            bound += _filtered_sum_contract(a, eps, order, p.rho)
+            package = complex_filter_order_n(InnerAnalytic(a), eps, order, p)
+            assert abs(paper - package) <= bound, (eps, order)
+
+
+def test_order_n_argument_checks_and_orders_past_twenty():
     w = InnerAnalytic([1.0])
     p = DiskPoint(0.5, 0.0)
     assert complex_filter_order_n(w, 0.5, 0, p) == eval_inner(w, p)
-    with pytest.raises(ValueError):
-        complex_filter_order_n(w, 0.5, 21, p)
     for eps, order in ((0.0, 1), (4.0, 1), (np.nan, 1), (0.5, -1), (0.5, 1.5)):
         with pytest.raises(ValueError):  # the checks of KernelSpec(order, eps, "fixed")
             complex_filter_order_n(w, eps, order, p)
+    rng = np.random.default_rng(21)
+    w = InnerAnalytic(rng.standard_normal(128) / np.arange(1, 129) ** 1.5)
+    for order in (21, 64, 1000):
+        _assert_within_contract(w, 0.5, order, DiskPoint(0.9, rng.uniform(-np.pi, np.pi)))
 
 
-def test_order_one_superposition_is_first_order_filter():
+def test_order_one_is_the_first_order_filter():
     rng = np.random.default_rng(23)
     w = InnerAnalytic(rng.normal(size=12))
     p = DiskPoint(0.7, 2.1)
@@ -464,19 +520,12 @@ def test_disk_scalars_are_python_complex_whatever_their_type():
             calls["complex_kernel_eval theta1"](bad)
 
 
-def test_memoised_arrays_are_read_only_and_kept_under_the_multiplier_keep_rule():
-    from sincfilters.disk import _superposition
-    from sincfilters.filters import _CACHE_BYTES
+def test_memoised_power_steps_are_read_only():
     from sincfilters.series import _steps
 
     w = InnerAnalytic(1.0 / np.arange(1.0, 2049.0) ** 2)
     complex_filter_order_n(w, 0.4, 3, DiskPoint(0.9, 0.2))
-    assert _superposition.cache_info().currsize == 1
-    for memo in (_steps(math.isqrt(2049)), *_superposition(3, 2048)):
-        assert not memo.flags.writeable
-        with pytest.raises(ValueError):
-            memo[0] = 1.0
-    # k^N past a quarter of the multiplier table is not kept, as _multipliers keeps no such m_k
-    size = _CACHE_BYTES // 4 // 8 + 1
-    complex_filter_order_n(InnerAnalytic(np.ones(size) / size), 0.4, 2, DiskPoint(0.5, 0.2))
-    assert _superposition.cache_info().currsize == 1
+    memo = _steps(math.isqrt(2049))
+    assert not memo.flags.writeable
+    with pytest.raises(ValueError):
+        memo[0] = 1.0

@@ -89,7 +89,9 @@ def sample() -> dict[str, list[str]]:
                                    for p in points for n in (0, 2, 5)]
         + [lambda a=a, n=n: sf.complex_filter_order_n(w, abs(a) / 4 + 0.1, n,
                                                       sf.DiskPoint(0.99, a))
-           for a in scalars for n in (1, 4)],
+           for a in scalars for n in (1, 4)]
+        + [lambda e=e, n=n, p=p: sf.complex_filter_order_n(w, e, n, p)
+           for e in (0.1, 0.5) for n in (8, 12, 20) for p in points[1:4]],
         "complex_filter_coeffs": [lambda: sf.complex_filter_coeffs(w, 0.4).coeffs],
         "log_derivative": [lambda: sf.log_derivative(w).coeffs],
         "log_primitive": [lambda: sf.log_primitive(w).coeffs],

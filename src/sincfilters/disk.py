@@ -85,14 +85,14 @@ def _taylor_sum(coeffs: np.ndarray, z: np.ndarray, k_max: int) -> np.ndarray:
     return np.where(zero, 0.0, _power_sum(coeffs[:k_max], log_z))
 
 
-def _on_circle(coeffs: np.ndarray, p: DiskPoint, opts: EvalOptions | None) -> complex:
-    """sum_k a_k z^k at z = rho exp(i theta), rho <= 1, by x = log z, whose imaginary part
-    theta + 0.0 is never -0.0."""
-    if p.rho > 1.0:
-        raise ValueError(f"radius out of range: rho = {p.rho} > 1")
-    if p.rho == 0.0:  # w(0) = 0
+def _on_circle(coeffs: np.ndarray, rho: float, theta: float, opts: EvalOptions | None) -> complex:
+    """sum_k a_k z^k, k <= k_max, at z = rho exp(i theta), rho <= 1, by x = log z, whose
+    imaginary part theta + 0.0 is never -0.0."""
+    if rho > 1.0:
+        raise ValueError(f"radius out of range: rho = {rho} > 1")
+    if rho == 0.0:  # w(0) = 0
         return 0j
-    x = np.array([complex(math.log(p.rho), p.theta + 0.0)])
+    x = np.array([complex(math.log(rho), theta + 0.0)])
     return complex(_power_sum(coeffs[: (opts or DEFAULT_OPTIONS).k_max], x)[0])
 
 
@@ -104,7 +104,7 @@ def eval_inner(w: InnerAnalytic, p: DiskPoint, opts: EvalOptions | None = None) 
     meaningful for a truncation of a non-absolutely-convergent series is the
     caller's concern.  rho > 1 is outside the function's domain.
     """
-    return _on_circle(w.coeffs, p, opts)
+    return _on_circle(w.coeffs, p.rho, p.theta, opts)
 
 
 def log_derivative(w: InnerAnalytic) -> InnerAnalytic:
@@ -130,8 +130,10 @@ def complex_filter_eval(
 ) -> complex:
     """First-order filter at p: the series of complex_filter_coeffs(w, eps) summed at p, so it
     is eval_inner(complex_filter_coeffs(w, eps), p, opts) bit for bit.  The paper writes it
-    through the logarithmic primitive W as -(i/2eps) [W(z e^{i eps}) - W(z e^{-i eps})]."""
-    return _on_circle(_filtered(w.coeffs, KernelSpec(1, eps, "naive")), p, opts)
+    through the logarithmic primitive W as -(i/2eps) [W(z e^{i eps}) - W(z e^{-i eps})].
+    Only the a_k it sums, k <= k_max, are filtered."""
+    a = w.coeffs[: (opts or DEFAULT_OPTIONS).k_max]
+    return _on_circle(_filtered(a, KernelSpec(1, eps, "naive")), p.rho, p.theta, opts)
 
 
 def complex_filter_order_n(
@@ -140,12 +142,13 @@ def complex_filter_order_n(
     """Order-N filter with range eps at p: a_k sinc(k eps/N)^N, the multipliers of
     KernelSpec(N, eps, "fixed") from the multiplier table, summed at p as eval_inner sums.
 
-    The spec checks (N, eps); N = 0 is eval_inner.  The paper writes the filter as the
-    binomial superposition of N-th logarithmic primitives at the N+1 rotated points
-    z e^{i(1-2n/N)eps}, scaled by (N/2eps)^N; that sum cancels as the prefactor grows, so
-    it is a test of this function, not its engine.
+    The spec checks (N, eps); N = 0 is eval_inner.  Only the a_k it sums, k <= k_max, are
+    filtered.  The paper writes the filter as the binomial superposition of N-th logarithmic
+    primitives at the N+1 rotated points z e^{i(1-2n/N)eps}, scaled by (N/2eps)^N; that sum
+    cancels as the prefactor grows, so it is a test of this function, not its engine.
     """
-    return _on_circle(_filtered(w.coeffs, KernelSpec(order, eps, "fixed")), p, opts)
+    a = w.coeffs[: (opts or DEFAULT_OPTIONS).k_max]
+    return _on_circle(_filtered(a, KernelSpec(order, eps, "fixed")), p.rho, p.theta, opts)
 
 
 def complex_kernel_eval(
@@ -172,10 +175,9 @@ def complex_kernel_eval(
     r = p.rho / rho1
     if r == 0.0:
         return complex(1.0 / (2.0 * np.pi))
-    plan = _plan(spec, 0, opts, "complex_kernel_eval", radius=r)
+    plan = _plan(spec, 0, opts, radius=r)
     angle = _finite(p.theta - theta1, message)  # two finite angles can be 3.4e308 apart
-    x = np.array([complex(math.log(r), angle + 0.0)])  # + 0.0 sums -0.0 as _on_circle does
-    return plan.const + complex(_power_sum(plan.weights, x)[0]) / np.pi
+    return plan.const + _on_circle(plan.weights, r, angle, opts) / np.pi
 
 
 def segment_filter(

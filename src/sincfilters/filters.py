@@ -28,15 +28,18 @@ the widths reach pi, at its image 2*pi - d.  For scaled, m_k is the
 running product over the stages, never the algebraically equal
 2^(N(N+1)/2)/(k eps)^N prefactor form, which overflows already for moderate N.
 
-One plan (_plan) makes every decision of a kernel evaluation: argument
-checks, closed form or series, K and signed weights.  m_k depends only on
-the spec and k, so it and kernel_integral read m_1..m_K from a per-process
-table (_multipliers) of at most 2 MiB, a quarter of it per spec, least
-recently used spec out first, with the bits of a fresh filter_multiplier
-call; the tail rule is memoised too.  Filtering coefficients reads the same
-table on both sides of the conjugate pair (_filtered): apply_filter_coeffs,
-and so the CLI's filter and waveform, and disk's complex_filter_coeffs,
-complex_filter_eval and complex_filter_order_n.
+One plan (_plan) makes every decision of a kernel evaluation, and its type is
+its engine: a _Table (the box-spline table) or a _Series (K signed weights),
+each read by at(d) and grid(M).  Each refusal comes from the code that
+decides it: _plan's argument checks, _closed_form's table and the tail rule.
+
+m_k depends only on the spec and k, so the series and kernel_integral read
+m_1..m_K from a per-process table (_multipliers) of at most 2 MiB, a quarter
+of it per spec, least recently used spec out first, with the bits of a fresh
+filter_multiplier call; the tail rule is memoised too.  Filtering
+coefficients reads the same table on both sides of the conjugate pair
+(_filtered): apply_filter_coeffs, and so the CLI's filter and waveform, and
+disk's complex_filter_coeffs, complex_filter_eval and complex_filter_order_n.
 """
 
 from __future__ import annotations
@@ -353,41 +356,56 @@ def _box_table(widths: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _box_spline(table: np.ndarray, h: float, image: bool, d: np.ndarray) -> np.ndarray:
-    """The kernel at folded d, Horner's rule in its _box_table at u = d/h, plus at the image
-    2*pi - d where the widths reach pi (the support's half-width is at most 2*pi, and below pi
-    the image lies past it).  h is a normal float (_closed_form checks it), so u is finite,
-    and u >= R reads the zero cell: 0.0.  A lone box reads 1/4, the mean of its one-sided
-    limits, at its edge u = 1."""
-    u = np.stack((d, 2.0 * np.pi - d)) / h if image else d / h
-    cell = np.minimum(u, table.shape[1] - 1).astype(np.intp)  # floor(u) on the support
-    t = u - cell
-    v, *rows = table.take(cell, axis=1)  # every row's coefficients at u, in one gather
-    for row in rows:
-        v = v * t + row
-    if len(table) == 1:
-        v = np.where(u == 1.0, 0.25, v)
-    return (v[0] + v[1] if image else v) / h
+class _Table(NamedTuple):
+    """The exact kernel of a spec: its _box_table rows in units of its narrowest stage h, and
+    whether the widths reach pi (image)."""
+
+    rows: np.ndarray
+    h: float
+    image: bool
+
+    def at(self, d: np.ndarray) -> np.ndarray:
+        """The kernel at folded d, Horner's rule in the rows at u = d/h, plus at the image
+        2*pi - d where the widths reach pi (the support's half-width is at most 2*pi, and below
+        pi the image lies past it).  h is a normal float (_closed_form checks it), so u is
+        finite, and u >= R reads the zero cell: 0.0.  A lone box reads 1/4, the mean of its
+        one-sided limits, at its edge u = 1."""
+        rows, h, image = self
+        u = np.stack((d, 2.0 * np.pi - d)) / h if image else d / h
+        cell = np.minimum(u, rows.shape[1] - 1).astype(np.intp)  # floor(u) on the support
+        t = u - cell
+        v, *lower = rows.take(cell, axis=1)  # every row's coefficients at u, in one gather
+        for row in lower:
+            v = v * t + row
+        if len(rows) == 1:
+            v = np.where(u == 1.0, 0.25, v)
+        return (v[0] + v[1] if image else v) / h
+
+    def grid(self, m: int) -> np.ndarray:
+        """The kernel on theta_j = -pi + 2*pi*j/M: j <= M/2, folded, then mirrored."""
+        return _mirror(self.at(_fold(_thetas(np.arange(m // 2 + 1), m))), m)
 
 
 @functools.lru_cache(maxsize=256)
-def _closed_form(spec: KernelSpec) -> _Plan | None:
-    """The _Plan of the exact kernel at folded d for N <= 2 and scaled N <= 10, else None.
+def _closed_form(spec: KernelSpec) -> _Table | None:
+    """The _Table of the exact kernel for N = 1, 2 and scaled N <= 10, else None (N >= 1).
 
     In units of its narrowest stage h the stages are boxes of integer half-widths, one per
-    stage, which key its _box_table.  h must be a normal float, so the values stay finite;
-    below that a spec keeps the series and its NonConvergenceError.
+    stage, which key its _box_table.  h must be a normal float, so the values stay finite.
+    Below that no engine serves the spec, so NonConvergenceError: the series has no K at
+    N = 1, and at N >= 2 its K passes the second breakpoint, 1/h for equal stages and
+    4/eps for scaled, above 1e305 wherever h is below the normal floats.
     """
     if spec.order > 2 and not (spec.variant == "scaled" and spec.order <= 10):
         return None
     groups = list(_stage_groups(spec))
     h = groups[-1][0]
     if h < sys.float_info.min:
-        return None
-    table = _box_table(tuple(int(a / h) for a, mult in reversed(groups) for _ in range(mult)))
-    image = sum(a * mult for a, mult in groups) >= np.pi  # mult <= 2 here: 2a is a + a
-    return _Plan(1.0 / (2.0 * np.pi), "cosine", _NO_MULTIPLIERS,
-                 functools.partial(_box_spline, table, h, image))
+        raise NonConvergenceError(
+            f"{spec.variant} kernel (N={spec.order}): its narrowest stage, {h:.3g}, is below "
+            "the normal floats: no table. No tail_tol or k_max can help: widen eps or change N.")
+    rows = _box_table(tuple(int(a / h) for a, mult in reversed(groups) for _ in range(mult)))
+    return _Table(rows, h, sum(a * mult for a, mult in groups) >= np.pi)  # mult <= 2: 2a is a + a
 
 
 @functools.lru_cache(maxsize=256)
@@ -422,15 +440,13 @@ def _envelope_cutoff(spec: KernelSpec, deriv: int, tol: float) -> float:
     return math.ceil(math.exp(log_x)) if log_x < 709.0 else math.inf
 
 
-def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float = 1.0,
-            table: bool = False) -> int:
+def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float = 1.0) -> int:
     """Smallest K with the rigorous tail bound (1/pi) sum_{k>K} |m_k| k^deriv r^k <= tol.
 
     The one rule is the envelope integral of _envelope_cutoff.  At a radius
     ratio r < 1 (deriv 0 only) |m_k| <= 1 also gives the geometric tail
     r^(K+1) / (pi (1 - r)), and the smaller K wins.
-    Raises NonConvergenceError when no rule reaches tol within k_max, and says why if none can;
-    a kernel evaluation that would read _closed_form's table (table) also says why it cannot.
+    Raises NonConvergenceError when no rule reaches tol within k_max, and says why if none can.
     """
     k_need = _envelope_cutoff(spec, deriv, tol)
     if radius < 1.0:
@@ -448,10 +464,6 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float 
             n = sum(mult for a, mult in itertools.islice(_stage_groups(spec), 60) if a > 0)
             why = (f"it has {n} stage(s) of nonzero width and its tail rule needs {deriv + 2}"
                    if n < deriv + 2 else "its stages are too narrow for a K in the float range")
-            if table and 1 <= spec.order <= (10 if spec.variant == "scaled" else 2):
-                h = min(a for a, _ in _stage_groups(spec))  # _closed_form's table needs a normal h
-                if h < sys.float_info.min:
-                    why += f"; its narrowest stage, {h:.3g}, is below the normal floats: no table"
             raise NonConvergenceError(f"{series} has no finite cutoff: {why}. "
                                       "No tail_tol or k_max can help: widen eps or change N.")
         raise NonConvergenceError(
@@ -461,69 +473,64 @@ def _cutoff(spec: KernelSpec, deriv: int, tol: float, k_max: int, radius: float 
     return int(k_need)
 
 
-class _Plan(NamedTuple):
-    """One kernel evaluation: the closed form if there is one, else the series const +
-    (1/pi) * sum_k weights[k-1] trig(k theta), trig = cos or sin by parity, K = weights.size."""
+class _Series(NamedTuple):
+    """A kernel or derivative as the series const + (1/pi) * sum_k weights[k-1] trig(k theta),
+    trig = cos or sin by parity, K = weights.size."""
 
     const: float
     parity: str
     weights: np.ndarray
-    closed: functools.partial | None = None
 
     def at(self, d: np.ndarray) -> np.ndarray:
-        """The values at angles d, folded to [0, pi] for a closed form."""
-        if self.closed is not None:
-            return self.closed(d)
+        """The values at angles d, by the power sum."""
         return self.const + _point_values(self.weights, d, self.parity) / np.pi
 
     def grid(self, m: int) -> np.ndarray:
-        """The values on theta_j = -pi + 2*pi*j/M: a closed form on j <= M/2, mirrored."""
-        if self.closed is not None:
-            return _mirror(self.closed(_fold(_thetas(np.arange(m // 2 + 1), m))), m)
+        """The values on theta_j = -pi + 2*pi*j/M, by one FFT."""
         return self.const + _grid_values(self.weights, m, self.parity) / np.pi
 
 
-def _plan(spec: KernelSpec, deriv: int, opts: EvalOptions, caller: str, radius: float = 1.0):
-    """The _Plan of the kernel's deriv-th derivative, with terms r^k at radius ratio r.
+def _plan(spec: KernelSpec, deriv: int, opts: EvalOptions, radius: float = 1.0):
+    """The plan of the kernel's deriv-th derivative, with terms r^k at radius ratio r: a _Table
+    or a _Series, each with at(d) and grid(M).
 
     Checks deriv >= 0 is an integer, order >= 1 at deriv 0 and r = 1 (order 0 is the
     delta kernel), and N >= deriv + 2 for absolute convergence.  At deriv 0 and r = 1, N <= 2
-    and scaled N <= 10 have a closed form (_closed_form), their box-spline table on the period,
-    while the narrowest stage h is a normal float (the values then stay finite).
-    Else K is the tail rule's and w_k = +-k^deriv m_k: d^n/dtheta^n cos(k theta) cycles
-    -k^n sin, -k^n cos, +k^n sin, +k^n cos.
+    and scaled N <= 10 read their box-spline table on the period (_closed_form, which refuses
+    a narrowest stage below the normal floats).  Else K is the tail rule's and
+    w_k = +-k^deriv m_k: d^n/dtheta^n cos(k theta) cycles -k^n sin, -k^n cos, +k^n sin,
+    +k^n cos.
     """
     deriv = _resolution(deriv, 0, "derivative order")
     if deriv == 0 and spec.order < 1 and radius == 1.0:
-        raise ValueError(f"{caller} requires order >= 1 (order 0 is the delta kernel)")
+        raise ValueError("kernel evaluation requires order >= 1 (order 0 is the delta kernel)")
     if deriv >= 1 and spec.order < deriv + 2:
         raise InsufficientOrderError(
             f"derivative of order {deriv} needs steps >= {deriv + 2}, got {spec.order}"
         )
-    table = deriv == 0 and radius == 1.0  # where a closed form can be read
-    plan = _closed_form(spec) if table else None
-    if plan is not None:
-        return plan
+    table = _closed_form(spec) if deriv == 0 and radius == 1.0 else None
+    if table is not None:
+        return table
     const = 1.0 / (2.0 * np.pi) if deriv == 0 else 0.0
-    K = _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius, table)
+    K = _cutoff(spec, deriv, opts.tail_tol, opts.k_max, radius)
     weights = _multipliers(spec, K)
     if deriv:
         k = np.arange(1, K + 1, dtype=float)
         weights = (1.0, -1.0, -1.0, 1.0)[deriv % 4] * k**deriv * weights
-    # _Plan(...) without the NamedTuple's generated __new__, which a scalar call would pay for
-    return tuple.__new__(_Plan, (const, PARITIES[deriv % 2], weights, None))
+    # _Series(...) without the NamedTuple's generated __new__, which a scalar call would pay for
+    return tuple.__new__(_Series, (const, PARITIES[deriv % 2], weights))
 
 
 def kernel_eval(spec: KernelSpec, dtheta, opts: EvalOptions | None = None, deriv: int = 0):
     """The kernel (deriv = 0) or its deriv-th derivative at separation dtheta (scalar or array).
 
-    Its plan (_plan) takes the exact closed form at deriv 0 for N <= 2 and
-    for scaled N <= 10, or else sums the series, differentiated term by term
-    (N >= deriv + 2), truncated where the rigorous tail bound drops below
+    Its plan (_plan) is the exact table (_Table) at deriv 0 for N <= 2 and
+    for scaled N <= 10, or else the series (_Series), differentiated term by
+    term (N >= deriv + 2), truncated where the rigorous tail bound drops below
     opts.tail_tol.  Order 0 is the delta kernel and is not evaluable pointwise.
     ValueError unless every angle is finite.
     """
-    plan = _plan(spec, deriv, opts or DEFAULT_OPTIONS, "kernel_eval")
+    plan = _plan(spec, deriv, opts or DEFAULT_OPTIONS)
     return _pointwise(dtheta, lambda d: plan.at(_fold(d) if deriv == 0 else d))
 
 
@@ -532,13 +539,13 @@ def kernel_grid(
 ) -> np.ndarray:
     """The kernel (deriv = 0) or its deriv-th derivative on theta_j = -pi + 2*pi*j/M.
 
-    Its plan (_plan) gives the closed form on j <= M/2, mirrored, so exactly
-    even, or else one FFT of the series cut by the tail rule, at cost
-    O(K + M log M) for any K, with v[M-j] == v[j] exactly (kernels, even
-    derivatives) or v[M-j] == -v[j] (odd derivatives).
+    Its plan (_plan) reads its table (_Table) on j <= M/2, mirrored, so
+    exactly even, or else takes one FFT of the series (_Series) cut by the
+    tail rule, at cost O(K + M log M) for any K, with v[M-j] == v[j] exactly
+    (kernels, even derivatives) or v[M-j] == -v[j] (odd derivatives).
     """
     resolution = _resolution(resolution)
-    return _plan(spec, deriv, opts or DEFAULT_OPTIONS, "kernel_grid").grid(resolution)
+    return _plan(spec, deriv, opts or DEFAULT_OPTIONS).grid(resolution)
 
 
 def kernel_integral(spec: KernelSpec, opts: EvalOptions | None = None) -> float:
@@ -553,5 +560,5 @@ def kernel_integral(spec: KernelSpec, opts: EvalOptions | None = None) -> float:
     if spec.order < 1:
         raise ValueError("kernel_integral requires order >= 1")
     m = opts.quad_resolution
-    plan = _Plan(1.0 / (2.0 * np.pi), "cosine", _multipliers(spec, min(opts.k_max, m - 1)))
+    plan = _Series(1.0 / (2.0 * np.pi), "cosine", _multipliers(spec, min(opts.k_max, m - 1)))
     return float(plan.grid(m).sum() * (2.0 * np.pi / m))

@@ -292,8 +292,8 @@ def make_waveform(kind: str, k_max: int) -> HarmonicCoefficients:
 def render_signal(
     coeffs: HarmonicCoefficients, resolution: int, opts: EvalOptions | None = None
 ) -> SampledSignal:
-    """Sample the series on the standard grid of the given resolution (one FFT, any K)."""
-    resolution = _resolution(resolution, 2)
+    """Sample the series on the standard grid of M >= 1 points (one FFT, any K)."""
+    resolution = _resolution(resolution)
     opts = opts or DEFAULT_OPTIONS
     return SampledSignal(_grid_values(coeffs.coeffs[: opts.k_max], resolution, coeffs.parity))
 

@@ -51,6 +51,19 @@ def test_waveform_command_locality(tmp_path):
     assert abs(row[1] - 1.0) <= 1e-6
 
 
+def test_waveform_command_on_one_point(tmp_path):
+    # M = 1 is the grid {-pi}, for waveform as for kernel: the square wave is exactly 0 there
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    for kind in ("square", "triangle"):
+        assert main(["waveform", "--kind", kind, "--points", "1", "--out", str(one)]) == 0
+        assert main(["waveform", "--kind", kind, "--points", "2", "--out", str(two)]) == 0
+        header, data = read_csv(one)
+        assert header == ["theta", "value"] and data.shape == (1, 2) and data[0, 0] == -np.pi
+        assert abs(data[0, 1] - read_csv(two)[1][0, 1]) <= 1e-12, kind
+        if kind == "square":
+            assert data[0, 1] == 0.0
+
+
 def test_derivative_command(tmp_path):
     out = tmp_path / "d1.csv"
     rc = main(["derivative", "--eps", "0.5", "--N", "100", "--order", "1",

@@ -211,6 +211,25 @@ def test_complex_filter_eval_matches_coefficient_path():
         assert via_eval == via_coeffs
 
 
+@pytest.mark.parametrize("order", [None, 1, 4], ids=["first-order", "order-1", "order-4"])
+def test_disk_filters_filter_only_the_harmonics_they_sum(order):
+    # m_k depends only on k, so filtering a_1..a_kmax gives the bits of filtering all of w and
+    # summing k <= k_max; 1024 multipliers are kept in the table, where 2^17 would not be
+    from sincfilters import apply_filter_coeffs, filters
+
+    k = np.arange(1, 2**17 + 1)
+    w = InnerAnalytic(np.random.default_rng(31).standard_normal(k.size) / k**1.5)
+    p, eps, opts = DiskPoint(0.99, 0.7), 0.3, EvalOptions(k_max=1024)
+    if order is None:
+        spec, got = KernelSpec(1, eps, "naive"), complex_filter_eval(w, eps, p, opts)
+    else:
+        spec = KernelSpec(order, eps, "fixed")
+        got = complex_filter_order_n(w, eps, order, p, opts)
+    assert filters._MULTIPLIERS[spec].size == 1024
+    every = apply_filter_coeffs(HarmonicCoefficients("cosine", w.coeffs), spec).coeffs
+    assert got == eval_inner(InnerAnalytic(every), p, opts)
+
+
 def test_inner_analyticity_preserved():
     out = complex_filter_coeffs(InnerAnalytic(make_waveform("square", 100).coeffs), 0.4)
     assert out.coeffs.dtype == float

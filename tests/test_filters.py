@@ -182,26 +182,50 @@ def test_an_infinite_cutoff_says_why_and_what_to_change():
     from sincfilters.filters import _cutoff
 
     advice = "No tail_tol or k_max can help: widen eps or change N."
+    no_cutoff = "has no finite cutoff: "
     for evaluate, why in (
-        (lambda: kernel_eval(KernelSpec(1, 1e-310), 0.1),
-         "it has 1 stage(s) of nonzero width and its tail rule needs 2; its narrowest stage, "
-         "1e-310, is below the normal floats: no table. "),
+        (lambda: kernel_eval(KernelSpec(1, 1e-310), 0.1),  # the table's refusal
+         "fixed kernel (N=1): its narrowest stage, 1e-310, is below the normal floats: "
+         "no table. "),
         (lambda: kernel_eval(KernelSpec(3, 5e-324), 0.1),
-         "it has 0 stage(s) of nonzero width and its tail rule needs 2. "),
+         no_cutoff + "it has 0 stage(s) of nonzero width and its tail rule needs 2. "),
         (lambda: kernel_eval(KernelSpec(3, 5e-324), 0.1, deriv=1),
-         "it has 0 stage(s) of nonzero width and its tail rule needs 3. "),
+         no_cutoff + "it has 0 stage(s) of nonzero width and its tail rule needs 3. "),
         (lambda: _cutoff(KernelSpec(3, 1e-300, "scaled"), 0, 1e-12, 2**20),
-         "its stages are too narrow for a K in the float range. "),
+         no_cutoff + "its stages are too narrow for a K in the float range. "),
     ):
         with pytest.raises(NonConvergenceError) as info:
             evaluate()
-        assert str(info.value).endswith("has no finite cutoff: " + why + advice)
+        assert str(info.value).endswith(why + advice)
     # a finite K keeps its advice
     with pytest.raises(NonConvergenceError) as info:
         kernel_eval(KernelSpec(3, 0.5), 0.1)
     assert str(info.value) == (
         "fixed kernel series (N=3, derivative order 0) needs 5863231 harmonics to reach "
         "tail_tol=1e-12; k_max=1048576. Loosen tail_tol or raise k_max.")
+
+
+@pytest.mark.parametrize("spec, error, text", [
+    (KernelSpec(0, 0.5), ValueError, "requires order >= 1 (order 0 is the delta kernel)"),
+    (KernelSpec(2, 1e-310, "scaled"), NonConvergenceError, "below the normal floats: no table"),
+    (KernelSpec(3, 5e-324), NonConvergenceError, "0 stage(s) of nonzero width"),
+    (KernelSpec(3, 0.5), NonConvergenceError, "needs 5863231 harmonics"),
+], ids=["order-0", "subnormal-table-step", "zero-width-stages", "k-past-k_max"])
+def test_each_refusal_reads_the_same_off_and_on_the_grid(spec, error, text):
+    # each refusal is raised once, by the code that decides it, for kernel_eval and kernel_grid
+    # alike; the tail rule never speaks of a table
+    from sincfilters.filters import _cutoff
+
+    messages = []
+    for evaluate in (lambda: kernel_eval(spec, 0.1), lambda: kernel_grid(spec, 64)):
+        with pytest.raises(error) as info:
+            evaluate()
+        assert type(info.value) is error and text in str(info.value)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    with pytest.raises(NonConvergenceError) as info:
+        _cutoff(spec, 0, 1e-12, 2**20)
+    assert "table" not in str(info.value)
 
 
 def test_geometric_rule_beyond_the_float_range():
@@ -254,7 +278,7 @@ def test_multiplier_table_is_read_only():
     from sincfilters.filters import _multipliers, _plan
 
     spec = KernelSpec(11, 0.5, "scaled")  # past the exact tables: its plan holds the weights
-    for m in (_multipliers(spec, 100), _plan(spec, 0, EvalOptions(), "kernel_eval").weights):
+    for m in (_multipliers(spec, 100), _plan(spec, 0, EvalOptions()).weights):
         with pytest.raises(ValueError):
             m[0] = 1.0
 
@@ -532,10 +556,10 @@ def test_box_of_full_range_is_the_constant(variant):
 @pytest.mark.parametrize("spec", [_Periodised(2, 2.0, "naive"), _Periodised(2, 2.5, "gaussian")])
 def test_wrapped_closed_form_matches_its_series(spec):
     # total range 4 and 3.5 > pi: the closed form on the period against its series at 1e-7
-    from sincfilters.filters import _cutoff, _multipliers, _Plan
+    from sincfilters.filters import _cutoff, _multipliers, _Series
 
     tol = 1e-7
-    series = _Plan(1 / (2 * np.pi), "cosine", _multipliers(spec, _cutoff(spec, 0, tol, 2**21)))
+    series = _Series(1 / (2 * np.pi), "cosine", _multipliers(spec, _cutoff(spec, 0, tol, 2**21)))
     np.testing.assert_allclose(kernel_grid(spec, 1024), series.grid(1024), rtol=0, atol=tol)
     theta = np.linspace(-7.0, 7.0, 29)
     np.testing.assert_allclose(kernel_eval(spec, theta), series.at(theta), rtol=0, atol=tol)
@@ -638,13 +662,13 @@ def test_scaled_table_is_the_exact_kernel(spec):
 
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=_spec_id)
 def test_scaled_table_matches_its_series(spec):
-    from sincfilters.filters import _cutoff, _multipliers, _Plan
+    from sincfilters.filters import _cutoff, _multipliers, _Series
 
     tol = 1e-12 if spec.order > 3 else 1e-9
     if spec.order == 3 and spec.range_param == 0.05:
         tol = 1e-7  # at 1e-9 this series needs 9.0e6 harmonics
     weights = _multipliers(spec, _cutoff(spec, 0, tol, 2**21 if spec.order == 3 else 2**22))
-    series = _Plan(1 / (2 * np.pi), "cosine", weights)
+    series = _Series(1 / (2 * np.pi), "cosine", weights)
     bound = tol + 64 * np.finfo(float).eps / spec.range_param  # tail plus rounding at the peak
     assert np.abs(kernel_grid(spec, 1024) - series.grid(1024)).max() <= bound
     theta = np.random.default_rng(spec.order).uniform(-np.pi, np.pi, 9)
@@ -685,22 +709,22 @@ def test_scaled_tables_take_only_their_specs():
     # N <= 2 of every variant and scaled N = 3..10 at deriv 0 with their narrowest stage a normal
     # float read one of the TABLE_WIDTHS tables; equal-stage N >= 3, scaled N >= 11 and every
     # derivative keep the series
-    from sincfilters.filters import _box_table, _plan
+    from sincfilters.filters import _box_table, _plan, _Series, _Table
 
     opts = EvalOptions()
     tables = [_box_table(widths) for widths in TABLE_WIDTHS]
     for spec in BOX_SPECS + TABLE_SPECS + [KernelSpec(10, 2.0**-1012, "scaled"),
                                            _Periodised(3, 0.5, "scaled")]:
-        plan = _plan(spec, 0, opts, "kernel_eval")
-        assert plan.closed is not None and plan.weights.size == 0
-        assert any(plan.closed.args[0] is table for table in tables), spec
+        plan = _plan(spec, 0, opts)
+        assert isinstance(plan, _Table), spec
+        assert any(plan.rows is table for table in tables), spec
     series = [(KernelSpec(3, 0.5, v), 0) for v in ("naive", "fixed", "gaussian")]
     series += [(KernelSpec(11, 0.5, "scaled"), 0), (KernelSpec(6, 0.5, "fixed"), 0),
                (KernelSpec(8, 0.5, "gaussian"), 0), (KernelSpec(4, 0.5, "naive"), 0)]
     series += [(KernelSpec(n, 0.3, v), deriv) for v in ("naive", "fixed", "gaussian", "scaled")
                for n, deriv in ((4, 1), (6, 2), (10, 1), (10, 2))]
     for spec, deriv in series:  # at a tol that N = 3 reaches
-        assert _plan(spec, deriv, EvalOptions(tail_tol=1e-6), "kernel_eval").closed is None, (spec, deriv)
+        assert isinstance(_plan(spec, deriv, EvalOptions(tail_tol=1e-6)), _Series), (spec, deriv)
 
 
 @pytest.mark.parametrize("eps", [1e-310, 5e-324])

@@ -143,6 +143,18 @@ def test_render_empty_coeffs():
     assert np.all(sig.values == 0.0)
 
 
+def test_render_one_point_is_the_series_at_minus_pi():
+    # M = 1 is the grid {-pi}, as for theta_grid and kernel_grid: cos(-k pi) = (-1)^k, and a
+    # sine series is exactly 0 there
+    k = np.arange(1, 1001)
+    a = np.random.default_rng(1).standard_normal(k.size) / k
+    cosine = render_signal(HarmonicCoefficients("cosine", a), 1)
+    assert cosine.resolution == 1 and cosine.thetas().tolist() == [-np.pi]
+    want = math.fsum((-1.0) ** k * a)
+    assert abs(cosine.values[0] - want) <= k.size * np.finfo(float).eps * np.abs(a).sum()
+    assert render_signal(HarmonicCoefficients("sine", a), 1).values.tolist() == [0.0]
+
+
 def test_render_square_jump_midpoints():
     sig = render_signal(make_waveform("square", 10**5), 4)
     # theta grid {-pi, -pi/2, 0, pi/2}: jumps at -pi and 0 give midpoint 0
@@ -171,7 +183,7 @@ def test_invalid_inputs_rejected(tmp_path):
         with pytest.raises(ValueError, match="theta must be finite"):
             eval_series(HarmonicCoefficients("cosine", [1.0]), bad)
     with pytest.raises(ValueError):
-        render_signal(HarmonicCoefficients("cosine", [1.0]), 1)
+        render_signal(HarmonicCoefficients("cosine", [1.0]), 0)
     one_cell = tmp_path / "one_cell.csv"
     one_cell.write_text("theta,value\n-3.141592653589793,1.0\n0.0\n")
     with pytest.raises(ValueError):

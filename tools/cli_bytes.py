@@ -66,6 +66,7 @@ INVOCATIONS = [
     "derivative --order 1 --points 1023 --out d1.csv",
     *(f"waveform --kind {kind} --points 8193 --out w.csv" for kind in ("sawtooth", "triangle")),
     *(f"kernel --points {m} --out k.csv" for m in (1, 2, 3)),
+    *(f"waveform --kind {kind} --points 1 --out w.csv" for kind in ("square", "triangle")),
     # waveform kinds at N = 0, 1, 2, 100
     *(f"waveform --kind {kind} --N {n} {SMALL} --kmax 65536 --out w.csv"
       for kind in ("square", "sawtooth", "triangle") for n in (0, 1, 2, 100)),

@@ -53,6 +53,7 @@ def sample() -> dict[str, list[str]]:
     derivatives = [(sf.KernelSpec(100, 0.5, "scaled"), 1), (sf.KernelSpec(100, 0.5, "scaled"), 2),
                    (sf.KernelSpec(8, 0.5, "gaussian"), 1), (sf.KernelSpec(6, 0.5, "fixed"), 2)]
     w = sf.InnerAnalytic(rng.standard_normal(200) / np.arange(1, 201) ** 1.5)
+    short = sf.EvalOptions(k_max=50)  # a disk filter sums, and filters, only a_1..a_50 of w
     points = [sf.DiskPoint(rho, theta) for rho, theta in zip(
         [0.0, 0.3, 0.9, 0.999, 1.0], rng.uniform(-np.pi, np.pi, 5))]
     cosine = sf.HarmonicCoefficients("cosine", rng.standard_normal(300) / np.arange(1, 301))
@@ -84,14 +85,17 @@ def sample() -> dict[str, list[str]]:
            for a in scalars],
         "complex_filter_eval": [lambda p=p: sf.complex_filter_eval(w, 0.4, p) for p in points]
         + [lambda a=a: sf.complex_filter_eval(w, abs(a) / 4 + 0.1, sf.DiskPoint(0.99, a))
-           for a in scalars],
+           for a in scalars]
+        + [lambda p=p: sf.complex_filter_eval(w, 0.4, p, short) for p in points],
         "complex_filter_order_n": [lambda p=p, n=n: sf.complex_filter_order_n(w, 0.4, n, p)
                                    for p in points for n in (0, 2, 5)]
         + [lambda a=a, n=n: sf.complex_filter_order_n(w, abs(a) / 4 + 0.1, n,
                                                       sf.DiskPoint(0.99, a))
            for a in scalars for n in (1, 4)]
         + [lambda e=e, n=n, p=p: sf.complex_filter_order_n(w, e, n, p)
-           for e in (0.1, 0.5) for n in (8, 12, 20) for p in points[1:4]],
+           for e in (0.1, 0.5) for n in (8, 12, 20) for p in points[1:4]]
+        + [lambda p=p, n=n: sf.complex_filter_order_n(w, 0.4, n, p, short)
+           for p in points for n in (1, 4)],
         "complex_filter_coeffs": [lambda: sf.complex_filter_coeffs(w, 0.4).coeffs],
         "log_derivative": [lambda: sf.log_derivative(w).coeffs],
         "log_primitive": [lambda: sf.log_primitive(w).coeffs],
